@@ -10,7 +10,9 @@
 // writev() so dozens of queued frames leave in one syscall. It tracks a
 // resume offset into the front frame, which is how a short writev — the
 // kernel accepting part of a frame — picks up exactly where it stopped on the
-// next EPOLLOUT.
+// next EPOLLOUT. Small unshared frames (client replies) take PushSmall, which
+// packs consecutive ones into one queue entry, so a pass's replies leave as
+// one iovec instead of one buffer, refcount and iovec each.
 //
 // FrameReader is the inbound mirror: an incremental extractor that survives
 // arbitrarily short reads, including reads that split the 4-byte length
@@ -32,11 +34,17 @@
 #include <vector>
 
 #include "src/util/check.h"
+#include "src/util/le_bytes.h"
 
 namespace opx::net {
 
 // Frames above this are protocol violations (matches the transport's bound).
 constexpr size_t kMaxFrameBytes = 64u << 20;
+
+// PushSmall grows a queue entry up to this many bytes, then opens the next.
+// Past a few KiB one more iovec costs nothing measurable; the cap keeps a
+// burst of replies to a slow reader from growing one buffer without bound.
+constexpr size_t kCoalesceCapBytes = 64u << 10;
 
 // One encoded wire frame: [u32 length][payload], contiguous.
 struct WireFrame {
@@ -94,15 +102,44 @@ inline void PatchFrameLength(std::vector<uint8_t>* bytes, size_t header_at) {
 }
 
 // Per-connection send queue of refcounted frames with a writev drain.
+//
+// An entry is either one frame queued by Push — possibly shared with other
+// queues — or a run of frames packed by PushSmall into a buffer that only
+// this queue owns. PushSmall appends only to an entry it opened itself:
+// appending to a shared frame would change the bytes every other queue
+// holding it sends.
 class FrameQueue {
  public:
   void Push(FrameRef frame) {
     OPX_DCHECK(frame != nullptr && !frame->bytes.empty());
     bytes_ += frame->bytes.size();
     frames_.push_back(std::move(frame));
+    tail_open_ = false;
+  }
+
+  // Queues [u32 len][payload], the same bytes Push would send for it, packed
+  // onto the tail entry when PushSmall opened that entry and it stays within
+  // kCoalesceCapBytes; otherwise it opens a new entry from `pool`.
+  void PushSmall(const uint8_t* payload, size_t len, FramePool* pool) {
+    OPX_DCHECK(len <= kMaxFrameBytes);
+    const size_t frame_bytes = 4 + len;
+    if (!tail_open_ || frames_.back()->bytes.size() + frame_bytes > kCoalesceCapBytes) {
+      frames_.push_back(pool->Acquire());
+      tail_open_ = true;
+    }
+    OPX_DCHECK(frames_.back().use_count() == 1);
+    std::vector<uint8_t>& out = frames_.back()->bytes;
+    const size_t at = out.size();
+    out.resize(at + frame_bytes);
+    util::StoreU32(out.data() + at, static_cast<uint32_t>(len));
+    if (len > 0) {
+      std::memcpy(out.data() + at + 4, payload, len);
+    }
+    bytes_ += frame_bytes;
   }
 
   bool empty() const { return frames_.empty(); }
+  // Queue entries, not wire frames: a PushSmall entry holds several frames.
   size_t frames() const { return frames_.size(); }
   size_t bytes() const { return bytes_; }
 
@@ -139,6 +176,7 @@ class FrameQueue {
       front_offset_ = 0;
       pool->Release(std::move(front));
       frames_.pop_front();
+      tail_open_ = tail_open_ && !frames_.empty();
     }
   }
 
@@ -149,12 +187,14 @@ class FrameQueue {
     frames_.clear();
     front_offset_ = 0;
     bytes_ = 0;
+    tail_open_ = false;
   }
 
  private:
   std::deque<FrameRef> frames_;
   size_t front_offset_ = 0;  // bytes of frames_.front() already written
   size_t bytes_ = 0;         // total unsent bytes across the queue
+  bool tail_open_ = false;   // frames_.back() was opened by PushSmall
 };
 
 // Incremental [u32 length][payload] extractor. Feed() buffers raw bytes and

@@ -23,10 +23,8 @@ Time MonotonicNow() {
       .count();
 }
 
-using util::PutU32;
-using util::PutU64;
 using util::GetU32;
-using util::GetU64;
+using util::PutU32;
 
 }  // namespace
 
@@ -65,9 +63,8 @@ bool OmniClient::ConnectTo(NodeId id) {
   }
   fd_ = fd;
   connected_to_ = id;
-  // Client hello.
-  std::vector<uint8_t> hello{kHelloClient};
-  return SendFrame(hello);
+  const uint8_t hello = kHelloClient;
+  return SendFrame(&hello, 1);
 }
 
 bool OmniClient::Connect(Time deadline) {
@@ -83,13 +80,13 @@ bool OmniClient::Connect(Time deadline) {
   return false;
 }
 
-bool OmniClient::SendFrame(const std::vector<uint8_t>& payload) {
+bool OmniClient::SendFrame(const uint8_t* payload, size_t len) {
   if (fd_ < 0) {
     return false;
   }
   std::vector<uint8_t> wire;
-  PutU32(&wire, static_cast<uint32_t>(payload.size()));
-  wire.insert(wire.end(), payload.begin(), payload.end());
+  PutU32(&wire, static_cast<uint32_t>(len));
+  wire.insert(wire.end(), payload, payload + len);
   size_t sent = 0;
   while (sent < wire.size()) {
     const ssize_t n = ::write(fd_, wire.data() + sent, wire.size() - sent);
@@ -150,42 +147,27 @@ void OmniClient::HandleFrame(const std::vector<uint8_t>& frame, Status* status_o
     return;
   }
   switch (frame[0]) {
-    case 0x02: {  // decided batch
-      if (frame.size() < 5) {
-        return;
-      }
-      const uint32_t count = GetU32(frame.data() + 1);
-      for (uint32_t i = 0; i < count && 5 + 8 * (i + 1) <= frame.size(); ++i) {
-        decided_.insert(GetU64(frame.data() + 5 + 8 * i));
+    case kDecidedBatchTag: {
+      std::vector<uint64_t> ids;
+      if (DecodeDecidedBatch(frame.data(), frame.size(), &ids)) {
+        decided_.insert(ids.begin(), ids.end());
       }
       break;
     }
-    case 0x04: {  // status
-      if (frame.size() >= 1 + 4 + 8 + 8 + 1 && status_out != nullptr) {
-        status_out->leader = static_cast<NodeId>(GetU32(frame.data() + 1));
-        status_out->decided = GetU64(frame.data() + 5);
-        status_out->log_len = GetU64(frame.data() + 13);
-        status_out->is_leader = frame[21] != 0;
-        if (frame.size() >= 22 + 8) {  // trailing compaction-floor extension
-          status_out->compacted = GetU64(frame.data() + 22);
-        }
+    case kStatusReplyTag: {
+      if (status_out != nullptr) {
+        DecodeStatusReply(frame.data(), frame.size(), status_out);
       }
       break;
     }
-    case 0x05: {  // redirect
-      if (frame.size() >= 5) {
-        redirect_hint_ = static_cast<NodeId>(GetU32(frame.data() + 1));
-      }
+    case kRedirectTag: {
+      DecodeRedirect(frame.data(), frame.size(), &redirect_hint_);
       break;
     }
-    case 0x07: {  // lease-read reply
-      if (frame.size() >= 1 + 8 + 8 + 1 + 4) {
-        ReadReplyInfo info;
-        const uint64_t read_id = GetU64(frame.data() + 1);
-        info.decided = GetU64(frame.data() + 9);
-        info.served = frame[17] != 0;
-        info.leader = static_cast<NodeId>(GetU32(frame.data() + 18));
-        read_replies_[read_id] = info;
+    case kReadReplyTag: {
+      ReadReply reply;
+      if (DecodeReadReply(frame.data(), frame.size(), &reply)) {
+        read_replies_[reply.read_id] = reply;
       }
       break;
     }
@@ -198,11 +180,8 @@ bool OmniClient::Append(uint64_t cmd_id, uint32_t payload_bytes) {
   if (fd_ < 0 && !Connect()) {
     return false;
   }
-  std::vector<uint8_t> req;
-  req.push_back(0x01);
-  PutU64(&req, cmd_id);
-  PutU32(&req, payload_bytes);
-  return SendFrame(req);
+  const auto req = EncodeAppendRequest({cmd_id, payload_bytes});
+  return SendFrame(req.data(), req.size());
 }
 
 bool OmniClient::WaitDecided(uint64_t cmd_id, Time deadline) {
@@ -266,11 +245,8 @@ bool OmniClient::LeaseRead(uint64_t watermark, uint64_t* decided_out, Time deadl
       return false;
     }
     const uint64_t read_id = next_read_id_++;
-    std::vector<uint8_t> req;
-    req.push_back(0x06);
-    PutU64(&req, read_id);
-    PutU64(&req, watermark);
-    if (!SendFrame(req)) {
+    const auto req = EncodeReadRequest({read_id, watermark});
+    if (!SendFrame(req.data(), req.size())) {
       continue;
     }
     while (MonotonicNow() < until && read_replies_.count(read_id) == 0) {
@@ -285,7 +261,7 @@ bool OmniClient::LeaseRead(uint64_t watermark, uint64_t* decided_out, Time deadl
     if (it == read_replies_.end()) {
       continue;  // disconnected mid-wait; reconnect and retry
     }
-    const ReadReplyInfo info = it->second;
+    const ReadReply info = it->second;
     read_replies_.erase(it);
     if (info.served) {
       if (decided_out != nullptr) {
@@ -308,8 +284,8 @@ bool OmniClient::GetStatus(Status* out, Time deadline) {
   if (fd_ < 0 && !Connect(deadline)) {
     return false;
   }
-  std::vector<uint8_t> req{0x03};
-  if (!SendFrame(req)) {
+  const auto req = EncodeStatusRequest();
+  if (!SendFrame(req.data(), req.size())) {
     return false;
   }
   const Time until = MonotonicNow() + deadline;
@@ -321,7 +297,7 @@ bool OmniClient::GetStatus(Status* out, Time deadline) {
       }
       continue;
     }
-    if (!frame.empty() && frame[0] == 0x04) {
+    if (!frame.empty() && frame[0] == kStatusReplyTag) {
       HandleFrame(frame, out);
       return true;
     }

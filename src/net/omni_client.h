@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/client_wire.h"
 #include "src/net/tcp_transport.h"
 #include "src/util/time.h"
 #include "src/util/types.h"
@@ -39,15 +40,9 @@ class OmniClient {
   // Blocks until `cmd_id` is decided or the deadline passes.
   bool WaitDecided(uint64_t cmd_id, Time deadline = Seconds(5));
 
-  struct Status {
-    NodeId leader = kNoNode;
-    uint64_t decided = 0;
-    uint64_t log_len = 0;
-    bool is_leader = false;
-    // Compaction floor (status-frame trailing extension; 0 from old servers).
-    // log_len - compacted = log entries actually resident in memory.
-    uint64_t compacted = 0;
-  };
+  // `compacted` is 0 from servers that predate the status frame's trailing
+  // compaction-floor field.
+  using Status = StatusReply;
   bool GetStatus(Status* out, Time deadline = Seconds(5));
 
   // Linearizable leader-lease read (frame 0x06, DESIGN.md §15). Blocks until
@@ -64,17 +59,11 @@ class OmniClient {
 
  private:
   bool ConnectTo(NodeId id);
-  bool SendFrame(const std::vector<uint8_t>& payload);
+  bool SendFrame(const uint8_t* payload, size_t len);
   // Reads one frame (blocking up to deadline); false on timeout/disconnect.
   bool ReadFrame(std::vector<uint8_t>* frame, Time deadline);
   void HandleFrame(const std::vector<uint8_t>& frame, Status* status_out);
   void Disconnect();
-
-  struct ReadReplyInfo {
-    uint64_t decided = 0;
-    bool served = false;
-    NodeId leader = kNoNode;
-  };
 
   std::map<NodeId, Endpoint> servers_;
   int fd_ = -1;
@@ -83,7 +72,7 @@ class OmniClient {
   std::set<uint64_t> decided_;
   std::vector<uint8_t> read_buf_;
   uint64_t next_read_id_ = 1;
-  std::map<uint64_t, ReadReplyInfo> read_replies_;
+  std::map<uint64_t, ReadReply> read_replies_;
 };
 
 }  // namespace opx::net

@@ -3,14 +3,11 @@
 #include <chrono>
 #include <cstdio>
 
+#include "src/net/client_wire.h"
 #include "src/util/check.h"
-#include "src/util/le_bytes.h"
 #include "src/util/logging.h"
 
 namespace opx::net {
-
-using util::PutU32;
-using util::PutU64;
 
 OmniTcpServer::OmniTcpServer(ServerOptions options) : options_(std::move(options)) {
   OPX_CHECK_NE(options_.id, kNoNode);
@@ -69,7 +66,6 @@ bool OmniTcpServer::Start() {
       [this](uint64_t client, const uint8_t* data, size_t len) {
         OnClientFrame(client, data, len);
       });
-  transport_->set_client_closed_handler([this](uint64_t client) { clients_.erase(client); });
   if (durable_ != nullptr) {
     // Persist-before-send: the WAL group commit rides the transport's flush
     // boundary, so one fdatasync covers every mutation of this event-loop
@@ -122,78 +118,58 @@ void OmniTcpServer::OnPeerMessage(NodeId from, omni::OmniMessage msg) {
 }
 
 void OmniTcpServer::OnClientFrame(uint64_t client, const uint8_t* data, size_t len) {
-  clients_.insert(client);
   if (len == 0) {
     return;
   }
   switch (data[0]) {
-    case 0x01: {  // append
-      if (len < 1 + 8 + 4) {
+    case kAppendRequestTag: {
+      AppendRequest req;
+      if (!DecodeAppendRequest(data, len, &req)) {
         return;
-      }
-      uint64_t cmd_id = 0;
-      uint32_t payload = 0;
-      for (int i = 0; i < 8; ++i) {
-        cmd_id |= static_cast<uint64_t>(data[1 + i]) << (8 * i);
-      }
-      for (int i = 0; i < 4; ++i) {
-        payload |= static_cast<uint32_t>(data[9 + i]) << (8 * i);
       }
       if (node_->IsLeader()) {
         // No Pump here: appends admitted during this epoll pass flush
         // together in StepOnce's post-Poll Pump — request batching turns an
         // append burst into one <AcceptDecide> fan-out.
-        node_->Append(omni::Entry::Command(cmd_id, payload));
+        node_->Append(omni::Entry::Command(req.cmd_id, req.payload_bytes));
       } else {
-        std::vector<uint8_t> redirect;
-        redirect.push_back(0x05);
-        PutU32(&redirect, static_cast<uint32_t>(node_->leader_hint()));
+        const auto redirect = EncodeRedirect(node_->leader_hint());
         transport_->SendToClient(client, redirect.data(), redirect.size());
       }
       break;
     }
-    case 0x06: {  // lease read
-      if (len < 1 + 8 + 8) {
+    case kReadRequestTag: {
+      ReadRequest req;
+      if (!DecodeReadRequest(data, len, &req)) {
         return;
       }
-      uint64_t read_id = 0;
-      uint64_t watermark = 0;
-      for (int i = 0; i < 8; ++i) {
-        read_id |= static_cast<uint64_t>(data[1 + i]) << (8 * i);
-        watermark |= static_cast<uint64_t>(data[9 + i]) << (8 * i);
-      }
-      const LogIndex decided = node_->decided_idx();
-      const bool served = node_->CanServeLocalReads() && decided >= watermark;
-      if (served) {
+      ReadReply reply;
+      reply.read_id = req.read_id;
+      reply.decided = node_->decided_idx();
+      reply.served = node_->CanServeLocalReads() && reply.decided >= req.watermark;
+      reply.leader = node_->leader_hint();
+      if (reply.served) {
         OPX_TRACE(options_.obs, obs::EventKind::kLeaseRead, options_.id, kNoNode, 0,
-                  decided, watermark);
+                  reply.decided, req.watermark);
 #if defined(OPX_OBS_ENABLED)
         if (lease_reads_ctr_ != nullptr) {
           lease_reads_ctr_->Inc();
         }
 #endif
       }
-      std::vector<uint8_t> reply;
-      reply.push_back(0x07);
-      PutU64(&reply, read_id);
-      PutU64(&reply, decided);
-      reply.push_back(served ? 1 : 0);
-      PutU32(&reply, static_cast<uint32_t>(node_->leader_hint()));
-      transport_->SendToClient(client, reply.data(), reply.size());
+      const auto encoded = EncodeReadReply(reply);
+      transport_->SendToClient(client, encoded.data(), encoded.size());
       break;
     }
-    case 0x03: {  // status
-      std::vector<uint8_t> status;
-      status.push_back(0x04);
-      PutU32(&status, static_cast<uint32_t>(node_->leader_hint()));
-      PutU64(&status, node_->decided_idx());
-      PutU64(&status, node_->log_len());
-      status.push_back(node_->IsLeader() ? 1 : 0);
-      // Trailing extension (older parsers read the fixed prefix and ignore
-      // this): compaction floor, so clients can observe bounded log memory
-      // (log_len - compacted = resident suffix entries).
-      PutU64(&status, storage_->compacted_idx());
-      transport_->SendToClient(client, status.data(), status.size());
+    case kStatusRequestTag: {
+      StatusReply status;
+      status.leader = node_->leader_hint();
+      status.decided = node_->decided_idx();
+      status.log_len = node_->log_len();
+      status.is_leader = node_->IsLeader();
+      status.compacted = storage_->compacted_idx();
+      const auto encoded = EncodeStatusReply(status);
+      transport_->SendToClient(client, encoded.data(), encoded.size());
       break;
     }
     default:
@@ -218,9 +194,7 @@ void OmniTcpServer::Pump() {
   if (pushed_ < storage_->compacted_idx()) {
     pushed_ = storage_->compacted_idx();
   }
-  if (pushed_ < decided && !clients_.empty()) {
-    std::vector<uint8_t> batch;
-    batch.push_back(0x02);
+  if (pushed_ < decided && transport_->client_count() > 0) {
     std::vector<uint64_t> ids;
     for (LogIndex i = pushed_; i < decided; ++i) {
       const omni::Entry& e = storage_->At(i);
@@ -228,18 +202,9 @@ void OmniTcpServer::Pump() {
         ids.push_back(e.cmd_id);
       }
     }
-    PutU32(&batch, static_cast<uint32_t>(ids.size()));
-    for (uint64_t id : ids) {
-      PutU64(&batch, id);
-    }
-    // Snapshot: a failed send closes the connection, which erases the client
-    // from clients_ via the closed handler — mid-iteration otherwise. The
-    // batch is encoded once and the refcounted frame shared across clients.
-    const FrameRef frame = transport_->EncodeClientFrame(batch.data(), batch.size());
-    const std::vector<uint64_t> targets(clients_.begin(), clients_.end());
-    for (uint64_t client : targets) {
-      transport_->SendToClient(client, frame);
-    }
+    // Encoded once; every client's queue shares the refcounted frame.
+    const std::vector<uint8_t> batch = EncodeDecidedBatch(ids);
+    transport_->SendToAllClients(transport_->EncodeClientFrame(batch.data(), batch.size()));
   }
   pushed_ = decided;
 }

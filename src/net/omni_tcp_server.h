@@ -3,14 +3,9 @@
 // single-threaded event loop. This is what `tools/omni_node` runs, and what
 // a downstream user embeds to deploy an actual cluster.
 //
-// Client API (frames over the same listen port, after a kHelloClient hello):
-//   -> [0x01][u64 cmd_id][u32 payload_bytes]     append request
-//   <- [0x02][u32 n][u64 cmd_id × n]             decided batch (pushed)
-//   -> [0x03]                                    status request
-//   <- [0x04][u32 leader][u64 decided][u64 len][u8 is_leader]
-//   <- [0x05][u32 leader]                        redirect (not leader)
-//   -> [0x06][u64 read_id][u64 watermark]        lease read request
-//   <- [0x07][u64 read_id][u64 decided][u8 served][u32 leader]
+// Clients speak the frames of src/net/client_wire.h over the same listen
+// port, after a kHelloClient hello: appends, status, lease reads, and the
+// decided batches the server pushes to every open client connection.
 //
 // Append requests are admitted into the proposal queue as they arrive but
 // flushed into accepts once per event-loop pass (StepOnce's Pump) — request
@@ -24,7 +19,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "src/net/tcp_transport.h"
@@ -95,7 +89,6 @@ class OmniTcpServer {
   omni::DurableStorage* durable_ = nullptr;  // storage_ downcast when WAL-backed
   std::unique_ptr<omni::OmniPaxos> node_;
   std::unique_ptr<TcpTransport> transport_;
-  std::set<uint64_t> clients_;
   LogIndex pushed_ = 0;   // decided entries already pushed to clients
   int tick_timer_ = -1;   // election timerfd inside the transport's loop
 #if defined(OPX_OBS_ENABLED)

@@ -132,6 +132,7 @@ void TcpTransport::Stop() {
   }
   connections_.clear();
   outbound_.clear();
+  clients_.clear();
   dirty_.clear();
   last_sent_ = nullptr;
 }
@@ -228,22 +229,25 @@ FrameRef TcpTransport::EncodeClientFrame(const uint8_t* data, size_t len) {
 }
 
 void TcpTransport::SendToClient(uint64_t client, const FrameRef& frame) {
-  for (auto& conn : connections_) {
-    if (conn->is_client && conn->client_id == client && !conn->closed) {
-      conn->sendq.Push(frame);
-      MarkDirty(*conn);
-      return;
-    }
+  auto it = clients_.find(client);
+  if (it != clients_.end()) {
+    it->second->sendq.Push(frame);
+    MarkDirty(*it->second);
+  }
+}
+
+void TcpTransport::SendToAllClients(const FrameRef& frame) {
+  for (const auto& [client, conn] : clients_) {
+    conn->sendq.Push(frame);
+    MarkDirty(*conn);
   }
 }
 
 void TcpTransport::SendToClient(uint64_t client, const uint8_t* data, size_t len) {
-  for (auto& conn : connections_) {
-    if (conn->is_client && conn->client_id == client && !conn->closed) {
-      conn->sendq.Push(EncodeClientFrame(data, len));
-      MarkDirty(*conn);
-      return;
-    }
+  auto it = clients_.find(client);
+  if (it != clients_.end()) {
+    it->second->sendq.PushSmall(data, len, &pool_);
+    MarkDirty(*it->second);
   }
 }
 
@@ -431,6 +435,7 @@ void TcpTransport::OnFrame(Connection& conn, const uint8_t* data, size_t len) {
     if (len >= 1 && data[0] == kHelloClient) {
       conn.is_client = true;
       conn.client_id = static_cast<uint64_t>(next_client_id_++);
+      clients_[conn.client_id] = &conn;
       return;
     }
     CloseConnection(conn);
@@ -460,6 +465,9 @@ void TcpTransport::CloseConnection(Connection& conn) {
   }
   const bool was_client = conn.is_client;
   const uint64_t client_id = conn.client_id;
+  if (was_client) {
+    clients_.erase(client_id);
+  }
   conn.closed = true;
   conn.hello_sent = false;
   conn.connecting = false;

@@ -16,10 +16,11 @@
 // interest lists, edge-triggered, timerfd-driven reconnect sweep) instead of
 // a per-iteration pollfd rebuild. Sends are DEFERRED: Send/SendToClient only
 // enqueue an encoded, refcounted frame (encode-once for broadcasts — see
-// SendRepeat and the FrameRef overload of SendToClient) onto the
-// connection's FrameQueue; Flush() — called once per Poll() pass and by the
-// server after each Pump — drains every dirty queue with writev(), so a
-// burst of protocol messages leaves in a handful of syscalls.
+// SendRepeat and the FrameRef overloads of SendToClient) onto the
+// connection's FrameQueue, where small client replies pack into one entry;
+// Flush() — called once per Poll() pass and by the server after each Pump —
+// drains every dirty queue with writev(), so a burst of protocol messages
+// leaves in a handful of syscalls.
 //
 // Single-threaded: the owner drives everything through Poll(); callbacks run
 // on the polling thread. No locks, no hidden threads.
@@ -31,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/net/epoll_loop.h"
@@ -100,13 +102,16 @@ class TcpTransport {
   // link-down); the caller falls back to Send().
   bool SendRepeat(NodeId to);
 
-  // Queues a raw frame to a connected client.
+  // Queues a small frame to a connected client. Replies queued to one client
+  // before the next Flush() pack into one send-queue entry (one iovec).
   void SendToClient(uint64_t client, const uint8_t* data, size_t len);
 
   // Encode-once client push: wrap a payload as a frame, then queue the SAME
   // refcounted frame to any number of clients.
   FrameRef EncodeClientFrame(const uint8_t* data, size_t len);
   void SendToClient(uint64_t client, const FrameRef& frame);
+  void SendToAllClients(const FrameRef& frame);
+  size_t client_count() const { return clients_.size(); }
 
   // Processes I/O for up to timeout_ms (0 = non-blocking pass): one epoll
   // wait + inline handler dispatch, then a Flush(). Reconnect backoff runs
@@ -153,6 +158,9 @@ class TcpTransport {
   FramePool pool_;
   std::vector<std::unique_ptr<Connection>> connections_;
   std::map<NodeId, Connection*> outbound_;  // per-peer send connection
+  // Open client connections by client id: added at the client hello, erased
+  // at close.
+  std::unordered_map<uint64_t, Connection*> clients_;
   std::vector<Connection*> dirty_;          // queues touched since last Flush
   FrameRef last_sent_;                      // SendRepeat's share source
   int64_t next_client_id_ = 1;

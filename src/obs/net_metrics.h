@@ -23,13 +23,16 @@ struct NetMetrics {
   Counter* bytes_in = nullptr;       // payload+framing bytes read off sockets
   Counter* bytes_out = nullptr;      // bytes the kernel accepted for send
   Counter* frames_in = nullptr;      // complete frames decoded
-  Counter* frames_out = nullptr;     // frames fully handed to the kernel
+  // Send-queue entries fully handed to the kernel: one per shared or peer
+  // frame, one per run of client replies packed together (DESIGN.md §14).
+  Counter* frames_out = nullptr;
   Counter* frames_shared = nullptr;  // frames enqueued via an encode-once share
   Counter* writev_calls = nullptr;   // writev syscalls issued
   Counter* reconnects = nullptr;     // outbound sessions (re-)established
   Counter* conns_accepted = nullptr; // inbound connections accepted
   Counter* conns_closed = nullptr;   // connections torn down (either side)
-  // Frames per writev call — the batching payoff. Bounds 1..512, x2 spaced.
+  // Send-queue entries (iovecs) per writev call — the batching payoff.
+  // Bounds 1..512, x2 spaced.
   Histogram* writev_batch_frames = nullptr;
   // Bytes per writev call, 64B..4MB, x4 spaced.
   Histogram* writev_batch_bytes = nullptr;

@@ -113,16 +113,19 @@ class OmniNode {
   void Reconnected(NodeId peer) { node_->Reconnected(peer); }
 
   std::vector<std::pair<NodeId, Message>> TakeOutgoing() {
-    // Persist-before-send: the harness drains outgoing messages once after
-    // every event, so the group commit here is the same per-flush fdatasync
-    // boundary the TCP runtime uses — no promise/accept/decide leaves the
-    // node before the mutations behind it are on disk.
-    if (durable_ != nullptr) {
-      OPX_CHECK(durable_->Sync()) << "WAL group commit failed: " << durable_->wal_error();
-    }
     std::vector<std::pair<NodeId, Message>> out;
     for (omni::OmniOut& o : node_->TakeOutgoing()) {
       out.emplace_back(o.to, std::move(o.body));
+    }
+    // Persist-before-send: the harness drains outgoing messages once after
+    // every event, so the group commit here is the same per-flush fdatasync
+    // boundary the TCP runtime uses — no promise/accept/decide leaves the
+    // node before the mutations behind it are on disk. It runs after the
+    // drain because draining journals too: the leader's FlushProposals
+    // appends the batch its <AcceptDecide> carries.
+    if (durable_ != nullptr) {
+      OPX_CHECK(durable_->Sync()) << "WAL group commit failed: " << durable_->wal_error();
+      OPX_CHECK(!durable_->HasPending()) << "WAL group commit left unsynced mutations";
     }
     return out;
   }

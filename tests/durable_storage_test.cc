@@ -13,6 +13,7 @@
 #include "src/omnipaxos/durable_storage.h"
 #include "src/omnipaxos/omni_paxos.h"
 #include "src/omnipaxos/sequence_paxos.h"
+#include "src/rsm/adapters.h"
 #include "src/util/le_bytes.h"
 #include "src/util/log_index.h"
 #include "src/wal/fault_fs.h"
@@ -827,6 +828,33 @@ TEST(DurableStorage, SequencePaxosSurvivesCrashViaWal) {
     EXPECT_EQ(recovered->At(i).cmd_id, i + 1);
   }
   RemoveWalDir(dir);
+}
+
+// --- The simulator's persist-before-send boundary ---------------------------
+
+// Draining a leader's outgoing messages journals the proposals its
+// <AcceptDecide> carries (FlushProposals), so the simulator adapter must
+// group-commit after the drain, not before it: a node that crashes right
+// after one drain must have nothing unsynced (Restart CHECKs this) and must
+// recover to the state it sent from.
+TEST(DurableStorage, SimNodeCommitsTheBatchItsDrainJournals) {
+  FaultFs fs;
+  rsm::NodeOptions opts;
+  opts.wal_env = &fs;
+  opts.wal_dir = kDir;
+  opts.wal_options = ExplicitSyncOnly();
+  rsm::OmniNode node(1, {}, opts);
+  for (int i = 0; i < 5 && !node.IsLeader(); ++i) {
+    node.Tick();
+    node.TakeOutgoing();
+  }
+  ASSERT_TRUE(node.IsLeader());
+  ASSERT_TRUE(node.Propose(7, 8));
+  node.TakeOutgoing();
+  const uint64_t sent_from = StorageFingerprint(node.impl().storage());
+  node.Restart(opts);
+  EXPECT_EQ(StorageFingerprint(node.impl().storage()), sent_from);
+  EXPECT_EQ(node.impl().log_len(), 1u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Unit + integration tests for the net hot path (DESIGN.md §14): framing
-// building blocks (FrameQueue/FrameReader partial-I/O resumption), the epoll
-// readiness core, and a 64-connection multiplexing run against a real
-// three-server loopback cluster. Suite names contain "Tcp" so the TSan smoke
-// filter (*Tcp*) picks them up.
+// building blocks (FrameQueue/FrameReader partial-I/O resumption, small-reply
+// packing), the epoll readiness core, and a 64-connection multiplexing run
+// against a real three-server loopback cluster. Suite names contain "Tcp" so
+// the TSan smoke filter (*Tcp*) picks them up.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -23,7 +23,7 @@
 #include "src/net/epoll_loop.h"
 #include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
-#include "src/net/omni_tcp_server.h"
+#include "tests/tcp_cluster.h"
 
 namespace opx {
 namespace {
@@ -35,9 +35,6 @@ using net::FrameQueue;
 using net::FrameReader;
 using net::FrameRef;
 using net::OmniClient;
-using net::OmniTcpServer;
-using net::ServerOptions;
-using net::WireFrame;
 
 // Builds a [u32 length][payload] frame whose payload is `n` bytes of `fill`.
 FrameRef MakeFrame(FramePool* pool, size_t n, uint8_t fill) {
@@ -139,6 +136,146 @@ TEST(TcpFrameQueue, ClearRecyclesEverything) {
   struct iovec iov[1];
   ASSERT_EQ(q.BuildIovecs(iov, 1), 1u);
   EXPECT_EQ(iov[0].iov_len, 9u);
+}
+
+// --- FrameQueue small-frame path: client replies packed per connection ----
+
+// The payload of reply `i`: a length that varies with i, filled with i.
+std::vector<uint8_t> Reply(size_t i) {
+  return std::vector<uint8_t>(1 + i % 40, static_cast<uint8_t>(i));
+}
+
+// Concatenates the bytes the queue's iovecs cover, front entry first.
+std::vector<uint8_t> Unsent(const FrameQueue& q) {
+  struct iovec iov[64];
+  const size_t n = q.BuildIovecs(iov, 64);
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i < n; ++i) {
+    const auto* base = static_cast<const uint8_t*>(iov[i].iov_base);
+    out.insert(out.end(), base, base + iov[i].iov_len);
+  }
+  return out;
+}
+
+std::vector<std::vector<uint8_t>> Frames(const std::vector<uint8_t>& wire) {
+  FrameReader reader;
+  std::vector<std::vector<uint8_t>> got;
+  EXPECT_TRUE(reader.Feed(wire.data(), wire.size(), [&](const uint8_t* d, size_t n) {
+    got.emplace_back(d, d + n);
+    return true;
+  }));
+  EXPECT_EQ(reader.buffered(), 0u);
+  return got;
+}
+
+TEST(TcpFrameQueue, SmallFramesJoinTheOpenTailInOrder) {
+  FramePool pool;
+  FrameQueue q;
+  size_t wire_bytes = 0;
+  for (size_t i = 0; i < 5; ++i) {
+    const std::vector<uint8_t> reply = Reply(i);
+    q.PushSmall(reply.data(), reply.size(), &pool);
+    wire_bytes += 4 + reply.size();
+  }
+  EXPECT_EQ(q.frames(), 1u);
+  EXPECT_EQ(q.bytes(), wire_bytes);
+  const std::vector<std::vector<uint8_t>> got = Frames(Unsent(q));
+  ASSERT_EQ(got.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(got[i], Reply(i)) << "reply " << i;
+  }
+  // Once the entry is sent and recycled, the next reply opens a fresh one.
+  q.Consume(wire_bytes, &pool);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(pool.pooled(), 1u);
+  const std::vector<uint8_t> reply = Reply(5);
+  q.PushSmall(reply.data(), reply.size(), &pool);
+  EXPECT_EQ(q.frames(), 1u);
+  EXPECT_EQ(pool.pooled(), 0u);
+  EXPECT_EQ(Frames(Unsent(q)), std::vector<std::vector<uint8_t>>{Reply(5)});
+}
+
+TEST(TcpFrameQueue, SmallFrameNeverJoinsASharedOrPushedFrame) {
+  FramePool pool;
+  FrameQueue a;
+  FrameQueue b;
+  const uint8_t reply[3] = {7, 7, 7};
+  // The decided push: one frame in both queues.
+  FrameRef shared = MakeFrame(&pool, 8, 0xEE);
+  a.Push(shared);
+  b.Push(shared);
+  a.PushSmall(reply, sizeof(reply), &pool);
+  EXPECT_EQ(a.frames(), 2u);
+  EXPECT_EQ(shared->bytes.size(), 12u);  // b sends exactly what it queued
+  EXPECT_EQ(b.bytes(), 12u);
+
+  // A frame added by Push is closed to packing even when nothing shares it;
+  // replies after it open one new entry and pack into that.
+  FrameQueue q;
+  q.Push(MakeFrame(&pool, 8, 0x11));
+  q.PushSmall(reply, sizeof(reply), &pool);
+  q.PushSmall(reply, sizeof(reply), &pool);
+  EXPECT_EQ(q.frames(), 2u);
+  q.Push(MakeFrame(&pool, 8, 0x22));
+  q.PushSmall(reply, sizeof(reply), &pool);
+  EXPECT_EQ(q.frames(), 4u);
+  const std::vector<std::vector<uint8_t>> got = Frames(Unsent(q));
+  ASSERT_EQ(got.size(), 5u);
+  EXPECT_EQ(got[0], std::vector<uint8_t>(8, 0x11));
+  EXPECT_EQ(got[3], std::vector<uint8_t>(8, 0x22));
+  EXPECT_EQ(got[4], std::vector<uint8_t>(reply, reply + 3));
+}
+
+TEST(TcpFrameQueue, PartialWriteInsideAPackedEntryResumesAtTheRightByte) {
+  // Short writevs of 1..7 bytes, with more replies packed onto the entry
+  // between them; the bytes "sent" must re-frame into the original replies.
+  FramePool pool;
+  FrameQueue q;
+  std::vector<uint8_t> sent;
+  size_t queued = 0;
+  for (size_t step = 0; step < 200 || !q.empty(); ++step) {
+    if (step < 200 && step % 3 == 0) {
+      const std::vector<uint8_t> reply = Reply(queued++);
+      q.PushSmall(reply.data(), reply.size(), &pool);
+    }
+    const std::vector<uint8_t> unsent = Unsent(q);
+    const size_t written = std::min<size_t>(1 + step % 7, unsent.size());
+    sent.insert(sent.end(), unsent.begin(), unsent.begin() + static_cast<ptrdiff_t>(written));
+    q.Consume(written, &pool);
+    EXPECT_EQ(q.bytes(), unsent.size() - written);
+  }
+  FrameReader reader;
+  std::vector<std::vector<uint8_t>> got;
+  for (uint8_t byte : sent) {
+    ASSERT_TRUE(reader.Feed(&byte, 1, [&](const uint8_t* d, size_t n) {
+      got.emplace_back(d, d + n);
+      return true;
+    }));
+  }
+  ASSERT_EQ(got.size(), queued);
+  for (size_t i = 0; i < queued; ++i) {
+    EXPECT_EQ(got[i], Reply(i)) << "reply " << i;
+  }
+}
+
+TEST(TcpFrameQueue, CoalesceCapStartsANewEntry) {
+  FramePool pool;
+  FrameQueue q;
+  const std::vector<uint8_t> reply(1000, 0x5A);
+  constexpr size_t kReplies = 200;  // ~200 KB: several capped entries
+  for (size_t i = 0; i < kReplies; ++i) {
+    q.PushSmall(reply.data(), reply.size(), &pool);
+  }
+  constexpr size_t kPerEntry = net::kCoalesceCapBytes / 1004;
+  EXPECT_EQ(q.frames(), (kReplies + kPerEntry - 1) / kPerEntry);
+  struct iovec iov[16];
+  const size_t n = q.BuildIovecs(iov, 16);
+  ASSERT_EQ(n, q.frames());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_LE(iov[i].iov_len, net::kCoalesceCapBytes);
+    EXPECT_EQ(iov[i].iov_len % 1004, 0u);
+  }
+  EXPECT_EQ(Frames(Unsent(q)).size(), kReplies);
 }
 
 // --- FrameReader: short reads, including mid-length-header splits ---------
@@ -395,62 +532,25 @@ TEST_F(TcpEpollLoopTest, TimerFiresAndCoalescesMissedPeriods) {
 // --- 64-connection multiplexing against a real loopback cluster -----------
 
 TEST(TcpManyClients, SixtyFourConcurrentConnectionsReplicate) {
-  // Three servers on loopback, each on its own thread; ports derived from the
-  // pid to dodge parallel test invocations (same scheme as tcp_runtime_test).
-  const uint16_t base = static_cast<uint16_t>(20000 + ((getpid() + 9173) % 20000));
-  std::map<NodeId, Endpoint> endpoints;
-  for (NodeId id = 1; id <= 3; ++id) {
-    endpoints[id] = Endpoint{"127.0.0.1", static_cast<uint16_t>(base + id)};
-  }
-  struct Slot {
-    std::unique_ptr<OmniTcpServer> server;
-    std::thread thread;
-    std::atomic<bool> stop{false};
-  };
-  Slot slots[4];
-  for (NodeId id = 1; id <= 3; ++id) {
-    ServerOptions options;
-    options.id = id;
-    options.listen_port = endpoints[id].port;
-    options.election_timeout = Millis(30);
-    options.ble_priority = id == 1 ? 1 : 0;
-    for (NodeId peer = 1; peer <= 3; ++peer) {
-      if (peer != id) {
-        options.peers[peer] = endpoints[peer];
-      }
-    }
-    auto& slot = slots[static_cast<size_t>(id)];
-    slot.server = std::make_unique<OmniTcpServer>(options);
-    ASSERT_TRUE(slot.server->Start());
-    slot.thread = std::thread([&slot] { slot.server->Run(slot.stop); });
-  }
-
+  testing::TcpCluster cluster;
   constexpr int kClients = 64;
-  {
-    // All 64 clients connect and STAY connected — the servers' transports
-    // multiplex every socket in one epoll set — then each appends twice.
-    std::vector<std::unique_ptr<OmniClient>> clients;
+  // All 64 clients connect and STAY connected — the servers' transports
+  // multiplex every socket in one epoll set — then each appends twice.
+  std::vector<std::unique_ptr<OmniClient>> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<OmniClient>(cluster.endpoints()));
+    ASSERT_TRUE(clients.back()->Connect(Seconds(10))) << "client " << i;
+  }
+  for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < kClients; ++i) {
-      clients.push_back(std::make_unique<OmniClient>(endpoints));
-      ASSERT_TRUE(clients.back()->Connect(Seconds(10))) << "client " << i;
+      const uint64_t cmd = static_cast<uint64_t>(round * kClients + i + 1);
+      ASSERT_TRUE(clients[i]->AppendAndWait(cmd, 8, Seconds(10)))
+          << "client " << i << " round " << round;
     }
-    for (int round = 0; round < 2; ++round) {
-      for (int i = 0; i < kClients; ++i) {
-        const uint64_t cmd = static_cast<uint64_t>(round * kClients + i + 1);
-        ASSERT_TRUE(clients[i]->AppendAndWait(cmd, 8, Seconds(10)))
-            << "client " << i << " round " << round;
-      }
-    }
-    OmniClient::Status status;
-    ASSERT_TRUE(clients[0]->GetStatus(&status, Seconds(5)));
-    EXPECT_GE(status.decided, static_cast<uint64_t>(2 * kClients));
   }
-
-  for (NodeId id = 1; id <= 3; ++id) {
-    auto& slot = slots[static_cast<size_t>(id)];
-    slot.stop.store(true);
-    slot.thread.join();
-  }
+  OmniClient::Status status;
+  ASSERT_TRUE(clients[0]->GetStatus(&status, Seconds(5)));
+  EXPECT_GE(status.decided, static_cast<uint64_t>(2 * kClients));
 }
 
 // --- Client hardening against a hostile frame header ----------------------
@@ -462,16 +562,16 @@ TEST(TcpManyClients, SixtyFourConcurrentConnectionsReplicate) {
 // violation and disconnects. (No "Tcp" in the suite name: this test is not
 // part of the TSan smoke filter.)
 TEST(ClientWire, PoisonedLengthHeaderDisconnectsInsteadOfWrapping) {
-  const uint16_t port = static_cast<uint16_t>(20000 + ((getpid() + 4211) % 20000));
   const int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listen_fd, 0);
-  const int one = 1;
-  setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
+  addr.sin_port = 0;  // the kernel picks a free port
+  socklen_t addr_len = sizeof(addr);
   ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+  const uint16_t port = ntohs(addr.sin_port);
   ASSERT_EQ(listen(listen_fd, 1), 0);
 
   std::thread evil([listen_fd] {

@@ -1,123 +1,108 @@
 // Integration tests for the real TCP runtime: three OmniTcpServer instances
-// on localhost sockets (each on its own thread), driven by OmniClient —
-// replication, leader redirect, crash + WAL recovery, all over actual TCP.
+// on localhost sockets (each on its own thread), driven by OmniClient or a
+// raw socket — replication, leader redirect, crash + WAL recovery, and
+// leader-lease reads, all over actual TCP.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdio>
-#include <memory>
+#include <chrono>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "src/net/client_wire.h"
+#include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
-#include "src/net/omni_tcp_server.h"
+#include "src/util/le_bytes.h"
+#include "tests/tcp_cluster.h"
 
 namespace opx {
 namespace {
 
 using net::Endpoint;
 using net::OmniClient;
-using net::OmniTcpServer;
-using net::ServerOptions;
+using testing::TcpCluster;
 
-// A 3-server localhost cluster on ephemeral ports. Ports must be known before
-// peers can connect, so servers bind first (port 0), then learn each other.
-class TcpCluster {
+// A blocking client socket that speaks client_wire frames directly, so a
+// test can pipeline requests instead of waiting for each reply the way
+// OmniClient does.
+class RawClient {
  public:
-  explicit TcpCluster(const std::string& wal_prefix = "") {
-    // Phase 1: bind all listeners to learn the ports.
-    std::map<NodeId, uint16_t> ports;
-    std::vector<std::unique_ptr<OmniTcpServer>> bound;
-    for (NodeId id = 1; id <= 3; ++id) {
-      ServerOptions options;
-      options.id = id;
-      options.listen_port = 0;
-      options.election_timeout = Millis(30);
-      options.ble_priority = id == 1 ? 1 : 0;
-      if (!wal_prefix.empty()) {
-        options.wal_dir = wal_prefix + std::to_string(id) + ".wal";
-      }
-      options_[static_cast<size_t>(id)] = options;
-      // Peers are filled in phase 2; Start() with empty peers just binds.
-      auto server = std::make_unique<OmniTcpServer>(options);
-      // Can't Start yet without peers — instead bind via a throwaway
-      // transport? Simpler: pre-allocate fixed ports by binding sockets.
-      (void)server;
-      bound.push_back(nullptr);
-    }
-    // Use a base derived from the PID to avoid collisions between parallel
-    // test invocations.
-    const uint16_t base = static_cast<uint16_t>(20000 + (getpid() % 20000));
-    for (NodeId id = 1; id <= 3; ++id) {
-      ports[id] = static_cast<uint16_t>(base + id);
-    }
-    for (NodeId id = 1; id <= 3; ++id) {
-      ServerOptions& options = options_[static_cast<size_t>(id)];
-      options.listen_port = ports[id];
-      for (NodeId peer = 1; peer <= 3; ++peer) {
-        if (peer != id) {
-          options.peers[peer] = Endpoint{"127.0.0.1", ports[peer]};
-        }
-      }
-      endpoints_[id] = Endpoint{"127.0.0.1", ports[id]};
-    }
-    for (NodeId id = 1; id <= 3; ++id) {
-      StartServer(id);
-    }
-  }
-
-  ~TcpCluster() {
-    for (NodeId id = 1; id <= 3; ++id) {
-      StopServer(id);
-    }
-    for (NodeId id = 1; id <= 3; ++id) {
-      const std::string& dir = options_[static_cast<size_t>(id)].wal_dir;
-      if (dir.empty()) {
-        continue;
-      }
-      // The WAL is now a directory of segments; sweep its files.
-      std::vector<std::string> names;
-      if (wal::PosixEnv()->ListDir(dir, &names)) {
-        for (const std::string& name : names) {
-          wal::PosixEnv()->DeleteFile(dir + "/" + name);
-        }
-      }
-    }
-  }
-
-  void StartServer(NodeId id) {
-    auto& slot = servers_[static_cast<size_t>(id)];
-    ASSERT_EQ(slot.server, nullptr);
-    slot.stop.store(false);
-    slot.server = std::make_unique<OmniTcpServer>(options_[static_cast<size_t>(id)]);
-    ASSERT_TRUE(slot.server->Start());
-    slot.thread = std::thread([&slot]() { slot.server->Run(slot.stop); });
-  }
-
-  void StopServer(NodeId id) {
-    auto& slot = servers_[static_cast<size_t>(id)];
-    if (slot.server == nullptr) {
+  explicit RawClient(const Endpoint& endpoint) {
+    fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(endpoint.port);
+    inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr);
+    if (fd_ < 0 || connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      ADD_FAILURE() << "cannot connect to port " << endpoint.port;
       return;
     }
-    slot.stop.store(true);
-    if (slot.thread.joinable()) {
-      slot.thread.join();
+    const int one = 1;
+    setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const uint8_t hello = net::kHelloClient;
+    Queue(&hello, 1);
+  }
+  ~RawClient() {
+    if (fd_ >= 0) {
+      close(fd_);
     }
-    slot.server = nullptr;
+  }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  // Appends one [u32 len][payload] frame to the unsent bytes.
+  void Queue(const uint8_t* payload, size_t len) {
+    util::PutU32(&out_, static_cast<uint32_t>(len));
+    out_.insert(out_.end(), payload, payload + len);
   }
 
-  const std::map<NodeId, Endpoint>& endpoints() const { return endpoints_; }
+  bool SendQueued() {
+    size_t sent = 0;
+    while (sent < out_.size()) {
+      const ssize_t n = write(fd_, out_.data() + sent, out_.size() - sent);
+      if (n <= 0) {
+        return false;
+      }
+      sent += static_cast<size_t>(n);
+    }
+    out_.clear();
+    return true;
+  }
+
+  // Feeds every received frame to `on_frame`, which returns whether it
+  // wants more. True once it wants no more (the rest of that read is still
+  // fed to it); false if the socket closes or `timeout_ms` passes without a
+  // byte first.
+  template <typename OnFrame>
+  bool ReadFrames(int timeout_ms, OnFrame&& on_frame) {
+    const timeval tv{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
+    setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    bool more = true;
+    while (more) {
+      uint8_t chunk[4096];
+      const ssize_t n = read(fd_, chunk, sizeof(chunk));
+      if (n <= 0) {
+        return false;
+      }
+      reader_.Feed(chunk, static_cast<size_t>(n), [&](const uint8_t* d, size_t len) {
+        more = on_frame(d, len) && more;
+        return true;
+      });
+    }
+    return true;
+  }
 
  private:
-  struct Slot {
-    std::unique_ptr<OmniTcpServer> server;
-    std::thread thread;
-    std::atomic<bool> stop{false};
-  };
-
-  ServerOptions options_[4];
-  Slot servers_[4];
-  std::map<NodeId, Endpoint> endpoints_;
+  int fd_ = -1;
+  std::vector<uint8_t> out_;
+  net::FrameReader reader_;
 };
 
 TEST(TcpRuntime, ReplicatesCommandsEndToEnd) {
@@ -162,8 +147,7 @@ TEST(TcpRuntime, FollowerRedirectsToLeader) {
 }
 
 TEST(TcpRuntime, SurvivesServerCrashAndWalRecovery) {
-  const std::string wal_prefix = ::testing::TempDir() + "/tcp_e2e_";
-  TcpCluster cluster(wal_prefix);
+  TcpCluster cluster({.wal = true});
   OmniClient client(cluster.endpoints());
   ASSERT_TRUE(client.Connect(Seconds(10)));
   for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
@@ -175,7 +159,7 @@ TEST(TcpRuntime, SurvivesServerCrashAndWalRecovery) {
     ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
   }
   // Restart from the WAL; it must catch up with entries decided while down.
-  cluster.StartServer(3);
+  ASSERT_TRUE(cluster.StartServer(3));
   OmniClient direct(std::map<NodeId, Endpoint>{{3, cluster.endpoints().at(3)}});
   ASSERT_TRUE(direct.Connect(Seconds(10)));
   OmniClient::Status status;
@@ -187,6 +171,88 @@ TEST(TcpRuntime, SurvivesServerCrashAndWalRecovery) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   EXPECT_GE(status.decided, 20u) << "recovered server did not catch up";
+}
+
+// Leader-lease reads through OmniClient: a read with the decided index of
+// the last acknowledged write as its watermark sees that write, and a
+// watermark no server has reached is bounced until the deadline.
+TEST(TcpRuntime, LeaseReadSeesEveryAcknowledgedWrite) {
+  // Four-round leases on a 100 ms tick: a loaded `ctest -j` host must not
+  // starve the heartbeats long enough for the lease to lapse mid-test.
+  TcpCluster cluster({.election_timeout = Millis(100), .lease_rounds = 4});
+  OmniClient client(cluster.endpoints());
+  ASSERT_TRUE(client.Connect(Seconds(10)));
+  for (uint64_t cmd = 1; cmd <= 5; ++cmd) {
+    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
+  }
+  OmniClient::Status status;
+  ASSERT_TRUE(client.GetStatus(&status, Seconds(5)));
+  ASSERT_GE(status.decided, 5u);
+  uint64_t read_at = 0;
+  ASSERT_TRUE(client.LeaseRead(status.decided, &read_at, Seconds(10)));
+  EXPECT_GE(read_at, status.decided);
+  EXPECT_FALSE(client.LeaseRead(status.decided + 1000, nullptr, Millis(300)));
+}
+
+// The small-reply path under pipelining: every lease-read reply the leader
+// packs into a shared send-queue entry reaches the client as its own frame,
+// exactly once and in request order, with the decided pushes for the
+// interleaved appends parsed from the same stream.
+TEST(TcpRuntime, PipelinedLeaseReadsGetOneReplyEachInOrder) {
+  TcpCluster cluster({.election_timeout = Millis(100), .lease_rounds = 4});
+  OmniClient client(cluster.endpoints());
+  ASSERT_TRUE(client.Connect(Seconds(10)));
+  ASSERT_TRUE(client.AppendAndWait(1, 8, Seconds(10)));
+  uint64_t watermark = 0;
+  ASSERT_TRUE(client.LeaseRead(1, &watermark, Seconds(10)));
+  const NodeId leader = client.connected_to();  // it just served a lease read
+
+  constexpr uint64_t kReads = 1200;
+  constexpr uint64_t kAppendEvery = 10;
+  constexpr uint64_t kFirstAppendId = 1000;
+  RawClient raw(cluster.endpoints().at(leader));
+  std::set<uint64_t> pending_appends;
+  for (uint64_t i = 0; i < kReads; ++i) {
+    const auto read = net::EncodeReadRequest({i + 1, watermark});
+    raw.Queue(read.data(), read.size());
+    if (i % kAppendEvery == 0) {
+      const auto append = net::EncodeAppendRequest({kFirstAppendId + i, 8});
+      raw.Queue(append.data(), append.size());
+      pending_appends.insert(kFirstAppendId + i);
+    }
+  }
+  ASSERT_TRUE(raw.SendQueued());
+
+  uint64_t next_read = 1;
+  uint64_t last_decided = watermark;
+  auto on_frame = [&](const uint8_t* d, size_t len) {
+    if (len > 0 && d[0] == net::kReadReplyTag) {
+      net::ReadReply reply;
+      EXPECT_TRUE(net::DecodeReadReply(d, len, &reply));
+      EXPECT_EQ(reply.read_id, next_read);
+      EXPECT_TRUE(reply.served) << "read " << reply.read_id;
+      EXPECT_GE(reply.decided, last_decided) << "read " << reply.read_id;
+      last_decided = reply.decided;
+      ++next_read;
+    } else if (len > 0 && d[0] == net::kDecidedBatchTag) {
+      std::vector<uint64_t> ids;
+      EXPECT_TRUE(net::DecodeDecidedBatch(d, len, &ids));
+      for (uint64_t id : ids) {
+        pending_appends.erase(id);
+      }
+    } else {
+      ADD_FAILURE() << "unexpected frame of " << len << " bytes";
+    }
+    return next_read <= kReads || !pending_appends.empty();
+  };
+  EXPECT_TRUE(raw.ReadFrames(20'000, on_frame))
+      << "stream ended after " << next_read - 1 << " replies";
+  EXPECT_EQ(next_read, kReads + 1);
+  EXPECT_TRUE(pending_appends.empty()) << pending_appends.size() << " appends undecided";
+  // No reply arrives twice: a duplicate of any read id fails the in-order
+  // check above, including one that would trail the last reply.
+  raw.ReadFrames(200, on_frame);
+  EXPECT_EQ(next_read, kReads + 1);
 }
 
 }  // namespace

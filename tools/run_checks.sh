@@ -17,6 +17,7 @@
 # Usage: tools/run_checks.sh [build-dir]      (default: build-asan)
 #        tools/run_checks.sh --static [build-dir]
 #        tools/run_checks.sh --tsan [build-dir]
+#        tools/run_checks.sh --tcp-repeat [build-dir]
 #        tools/run_checks.sh --bench-smoke [build-dir]
 #        tools/run_checks.sh --net-bench-smoke [build-dir]
 #        tools/run_checks.sh --compaction-smoke [build-dir]
@@ -31,6 +32,11 @@
 # --tsan builds the test suite with ThreadSanitizer (default dir: build-tsan)
 # and runs the real-I/O net tests — the only tier that spawns threads — as a
 # data-race smoke. Also part of the default full run (step 4).
+#
+# --tcp-repeat does a Release build of the test suite (default dir:
+# build-bench) and runs every real-socket test (names matching Tcp or
+# ClientWire) up to 20 times over under `ctest -j`, stopping at the first
+# failure: tests that share a host must not collide on ports or timing.
 #
 # --bench-smoke instead does a Release build (default dir: build-bench), runs
 # the sim_throughput quick benchmark, and refreshes BENCH_core.json at the
@@ -123,6 +129,26 @@ if [ "${1:-}" = "--tsan" ]; then
     echo "ok"
   else
     echo "TSan net smoke FAILED"
+    exit 1
+  fi
+  exit 0
+fi
+
+if [ "${1:-}" = "--tcp-repeat" ]; then
+  BUILD="${2:-$ROOT/build-bench}"
+  step "release build -> $BUILD"
+  cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
+    >"$BUILD.configure.log" 2>&1 ||
+    { echo "configure FAILED (see $BUILD.configure.log)"; exit 1; }
+  cmake --build "$BUILD" -j "$JOBS" --target opx_tests >"$BUILD.build.log" 2>&1 ||
+    { echo "build FAILED (see $BUILD.build.log)"; exit 1; }
+  echo "ok"
+  step "TCP tests x20 under ctest -j (until the first failure)"
+  if (cd "$BUILD" && ctest -j "$JOBS" --repeat until-fail:20 -R 'Tcp|ClientWire' \
+        --output-on-failure); then
+    echo "ok"
+  else
+    echo "TCP repeat FAILED"
     exit 1
   fi
   exit 0
