@@ -2,12 +2,29 @@
 
 #include <chrono>
 #include <cstdio>
+#include <utility>
+#include <variant>
 
 #include "src/net/client_wire.h"
 #include "src/util/check.h"
 #include "src/util/logging.h"
 
 namespace opx::net {
+namespace {
+
+// What may leave before this pass's group commit. The leader's proposal
+// (AcceptDecide) and a decision (Decide) are not votes: the leader counts
+// its own acceptance only once it is durable (OnDurable), and a decided
+// index stands on a majority that already persisted it. Votes (Promise,
+// Accepted) wait for the commit, and so, conservatively, does everything
+// else: AcceptSync, Prepare, PrepareReq, ProposalForward and heartbeats.
+bool SendsBeforeCommit(const omni::OmniMessage& msg) {
+  const auto* paxos = std::get_if<omni::PaxosMessage>(&msg);
+  return paxos != nullptr && (std::holds_alternative<omni::AcceptDecide>(*paxos) ||
+                              std::holds_alternative<omni::Decide>(*paxos));
+}
+
+}  // namespace
 
 OmniTcpServer::OmniTcpServer(ServerOptions options) : options_(std::move(options)) {
   OPX_CHECK_NE(options_.id, kNoNode);
@@ -66,16 +83,6 @@ bool OmniTcpServer::Start() {
       [this](uint64_t client, const uint8_t* data, size_t len) {
         OnClientFrame(client, data, len);
       });
-  if (durable_ != nullptr) {
-    // Persist-before-send: the WAL group commit rides the transport's flush
-    // boundary, so one fdatasync covers every mutation of this event-loop
-    // pass before any promise/accept/decide leaves the process. A dead disk
-    // must halt the server rather than let it keep voting from memory.
-    transport_->set_flush_hook([this] {
-      OPX_CHECK(durable_->Sync()) << "server " << options_.id
-                                  << ": WAL group commit failed: " << durable_->wal_error();
-    });
-  }
   if (options_.obs != nullptr) {
     transport_->WireObs(&options_.obs->metrics());
 #if defined(OPX_OBS_ENABLED)
@@ -102,6 +109,24 @@ void OmniTcpServer::StepOnce(int timeout_ms) {
   // The tick timerfd interrupts the wait, so the full timeout is available;
   // Poll() ends with a flush, and the trailing one covers this Pump.
   transport_->Poll(timeout_ms);
+  Pump();
+  transport_->Flush();
+  if (durable_ == nullptr) {
+    return;
+  }
+  // One group commit per pass. The leader's <AcceptDecide> already left in
+  // the flush above, so the followers' fdatasyncs run alongside this one;
+  // the votes Dispatch held leave only after it (persist-before-vote,
+  // DESIGN.md §17). A dead disk must halt the server rather than let it keep
+  // voting from memory.
+  OPX_CHECK(durable_->Sync()) << "server " << options_.id
+                              << ": WAL group commit failed: " << durable_->wal_error();
+  node_->OnDurable();
+  held_to_.clear();
+  Dispatch(std::exchange(held_, {}), /*hold_votes=*/false);
+  // Decide and the client pushes for whatever OnDurable decided. The decide
+  // record it journaled waits for the next pass's commit: a decided entry is
+  // already durable on a majority, so no frame waits for that record.
   Pump();
   transport_->Flush();
 }
@@ -178,18 +203,7 @@ void OmniTcpServer::OnClientFrame(uint64_t client, const uint8_t* data, size_t l
 }
 
 void OmniTcpServer::Pump() {
-  // Broadcast fan-outs (heartbeats, AcceptDecide with a SharedSuffix) arrive
-  // from TakeOutgoing as per-peer copies of identical bytes: prove identity
-  // with SameWireBody and share the one encoded frame instead of re-encoding.
-  const std::vector<omni::OmniOut> outs = node_->TakeOutgoing();
-  const omni::OmniMessage* prev = nullptr;
-  for (const omni::OmniOut& out : outs) {
-    if (prev == nullptr || !omni::SameWireBody(*prev, out.body) ||
-        !transport_->SendRepeat(out.to)) {
-      transport_->Send(out.to, out.body);
-    }
-    prev = &out.body;
-  }
+  Dispatch(node_->TakeOutgoing(), /*hold_votes=*/durable_ != nullptr);
   const LogIndex decided = node_->decided_idx();
   if (pushed_ < storage_->compacted_idx()) {
     pushed_ = storage_->compacted_idx();
@@ -207,6 +221,27 @@ void OmniTcpServer::Pump() {
     transport_->SendToAllClients(transport_->EncodeClientFrame(batch.data(), batch.size()));
   }
   pushed_ = decided;
+}
+
+void OmniTcpServer::Dispatch(std::vector<omni::OmniOut> outs, bool hold_votes) {
+  // Broadcast fan-outs (heartbeats, AcceptDecide with a SharedSuffix) arrive
+  // from TakeOutgoing as per-peer copies of identical bytes: prove identity
+  // with SameWireBody and share the one encoded frame instead of re-encoding.
+  const omni::OmniMessage* prev = nullptr;
+  for (omni::OmniOut& out : outs) {
+    if (hold_votes && (!SendsBeforeCommit(out.body) || held_to_.contains(out.to))) {
+      // Everything behind a held message to the same peer is held too, so
+      // each peer still receives this server's messages in order.
+      held_to_.insert(out.to);
+      held_.push_back(std::move(out));
+      continue;
+    }
+    if (prev == nullptr || !omni::SameWireBody(*prev, out.body) ||
+        !transport_->SendRepeat(out.to)) {
+      transport_->Send(out.to, out.body);
+    }
+    prev = &out.body;
+  }
 }
 
 }  // namespace opx::net

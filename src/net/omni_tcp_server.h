@@ -13,13 +13,21 @@
 // reads (0x06) are served locally, with no log append, when this server
 // leads AND still holds the BLE quorum-connectivity lease AND its decided
 // index covers the client's read-your-writes watermark (DESIGN.md §15).
+//
+// With a WAL, one group commit ends each pass, and only votes wait for it
+// (DESIGN.md §17): <AcceptDecide>, <Decide> and client frames go to the
+// transport at once, so followers sync a batch while the leader syncs it;
+// Promise, Accepted and every other peer message are held until the commit.
+// The leader counts its own acceptance only after the commit (OnDurable).
 #ifndef SRC_NET_OMNI_TCP_SERVER_H_
 #define SRC_NET_OMNI_TCP_SERVER_H_
 
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/net/tcp_transport.h"
 #include "src/obs/trace.h"
@@ -33,9 +41,9 @@ struct ServerOptions {
   uint16_t listen_port = 0;  // 0 = ephemeral
   std::map<NodeId, Endpoint> peers;
   // WAL directory (segmented group-commit log, DESIGN.md §17); empty =
-  // volatile in-memory storage. With a WAL the transport's flush hook issues
-  // one fdatasync per event-loop flush, so every promise/accept is durable
-  // before the message carrying it leaves the process.
+  // volatile in-memory storage. With a WAL every event-loop pass ends in one
+  // fdatasync, and every promise/accept is durable before the message
+  // carrying it leaves the process; the leader's proposals leave before it.
   std::string wal_dir;
   wal::WalOptions wal_options;  // segment size + group-commit thresholds
   Time election_timeout = Millis(100);
@@ -71,7 +79,8 @@ class OmniTcpServer {
 
   // One loop iteration: one epoll pass (≤ timeout_ms; election ticks fire
   // from a timerfd inside the same wait), pump protocol output, push decided
-  // entries to clients, flush send queues.
+  // entries to clients, flush send queues. With a WAL it then commits,
+  // releases the held votes, pumps and flushes again.
   void StepOnce(int timeout_ms);
 
   uint16_t listen_port() const { return transport_->listen_port(); }
@@ -83,12 +92,18 @@ class OmniTcpServer {
   void OnPeerMessage(NodeId from, omni::OmniMessage msg);
   void OnClientFrame(uint64_t client, const uint8_t* data, size_t len);
   void Pump();
+  // Queues protocol output to the transport in order, sharing one encoded
+  // frame across a broadcast's identical per-peer copies. With hold_votes,
+  // what may not leave before the group commit goes to held_ instead.
+  void Dispatch(std::vector<omni::OmniOut> outs, bool hold_votes);
 
   ServerOptions options_;
   std::unique_ptr<omni::Storage> storage_;
   omni::DurableStorage* durable_ = nullptr;  // storage_ downcast when WAL-backed
   std::unique_ptr<omni::OmniPaxos> node_;
   std::unique_ptr<TcpTransport> transport_;
+  std::vector<omni::OmniOut> held_;  // peer messages awaiting this pass's commit
+  std::set<NodeId> held_to_;          // peers with a message in held_
   LogIndex pushed_ = 0;   // decided entries already pushed to clients
   int tick_timer_ = -1;   // election timerfd inside the transport's loop
 #if defined(OPX_OBS_ENABLED)

@@ -380,6 +380,9 @@ void TcpTransport::HandleWritable(Connection& conn) {
       on_reconnect_(conn.outbound_peer);
     }
   }
+  if (flush_hook_ != nullptr && conn.dirty) {
+    return;  // queued since the last Flush(): the hook runs first (see FlushHook)
+  }
   FlushConn(conn);
 }
 

@@ -61,13 +61,15 @@ class TcpTransport {
   using ClientFrameHandler = std::function<void(uint64_t client, const uint8_t* data, size_t len)>;
   using ClientClosedHandler = std::function<void(uint64_t client)>;
   // Runs at the top of every Flush() that has queued bytes, BEFORE anything
-  // is written to a socket. The durable server hangs its WAL group commit
-  // here: one fdatasync per flush boundary makes every promise/accept
-  // persistent before the message carrying it can leave the process
-  // (persist-before-send). Flush() is the single choke point — Poll() ends
-  // with one, and out-of-poll Pump() batches are followed by one — so no
-  // frame escapes unsynced. EPOLLOUT resumes rewrite only bytes a previous
-  // Flush() already covered.
+  // is written to a socket, so an owner can make state durable before any
+  // frame queued since the last Flush() leaves. OmniTcpServer installs none:
+  // it commits once per pass and holds back only the votes (DESIGN.md §17).
+  // While a hook is installed, a connection with frames queued since the
+  // last Flush() is written only by Flush(): edge-triggered epoll reports
+  // EPOLLOUT with every EPOLLIN on a writable socket, so the writable handler
+  // would otherwise send frames queued earlier in the same dispatch before
+  // the hook ran. EPOLLOUT resumes then rewrite only bytes a previous Flush()
+  // already covered.
   using FlushHook = std::function<void()>;
 
   TcpTransport(NodeId self, uint16_t listen_port, std::map<NodeId, Endpoint> peers);

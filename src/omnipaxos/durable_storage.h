@@ -29,7 +29,7 @@
 //
 // Mutations buffer in the WAL's group-commit buffer; Sync() issues the one
 // fdatasync that makes them durable (the TCP server calls it once per event
-// loop pass, before any message leaves). A failed write or fsync poisons the
+// loop pass, before any vote leaves). A failed write or fsync poisons the
 // WAL: Sync() returns false and any further mutation refuses loudly
 // (OPX_CHECK), never silently diverging from disk.
 #ifndef SRC_OMNIPAXOS_DURABLE_STORAGE_H_
@@ -89,7 +89,7 @@ class DurableStorage final : public Storage {
 
   bool ok() const { return wal_->ok(); }
   const std::string& wal_error() const { return wal_->error(); }
-  bool HasPending() const { return wal_->HasPending(); }
+  bool HasPending() const override { return wal_->HasPending(); }
   const std::string& dir() const { return wal_->dir(); }
 
   // The underlying WAL, for tests and tooling (segment counts, sizes).

@@ -67,6 +67,11 @@ class OmniPaxos {
 
   std::vector<OmniOut> TakeOutgoing();
 
+  // Call right after the storage's group commit: the leader's own acceptance
+  // counts toward a majority only once durable (SequencePaxos::OnDurable).
+  // Owners of in-memory storage never need to call it.
+  void OnDurable() { paxos_.OnDurable(); }
+
   // --- Observers ----------------------------------------------------------
   NodeId pid() const { return config_.pid; }
   ConfigId config_id() const { return config_.config_id; }

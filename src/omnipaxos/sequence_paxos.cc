@@ -260,7 +260,11 @@ void SequencePaxos::CompletePreparePhase() {
   }
 
   phase_ = Phase::kAccept;
-  las_[self] = storage_->log_len();
+  // The adoption and the round raise are this leader's own acceptance; a
+  // persistent backend counts it once the group commit lands (OnDurable).
+  if (!storage_->HasPending()) {
+    las_[self] = storage_->log_len();
+  }
 
   for (const auto& [pid, meta] : promises_) {
     if (pid != self) {
@@ -560,9 +564,24 @@ void SequencePaxos::FlushProposals() {
   storage_->AppendAll(std::span<const Entry>(proposal_queue_.data(), taken));
   proposal_queue_.erase(proposal_queue_.begin(),
                         proposal_queue_.begin() + static_cast<ptrdiff_t>(taken));
-  if (taken > 0) {
+  // The leader's acceptance of the batch counts toward a majority only once
+  // it is durable. A persistent backend holds it pending until its group
+  // commit, so the <AcceptDecide> below can reach the followers while the
+  // leader's own fdatasync runs; OnDurable() counts it afterwards.
+  if (taken > 0 && !storage_->HasPending()) {
     las_[config_.pid] = storage_->log_len();
     UpdateDecidedAsLeader();  // single-server configurations decide instantly
+  }
+}
+
+void SequencePaxos::OnDurable() {
+  if (role_ != Role::kLeader || phase_ != Phase::kAccept || storage_->HasPending()) {
+    return;
+  }
+  LogIndex& self = las_[config_.pid];
+  if (self < storage_->log_len()) {
+    self = storage_->log_len();
+    UpdateDecidedAsLeader();
   }
 }
 

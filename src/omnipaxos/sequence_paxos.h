@@ -81,6 +81,13 @@ class SequencePaxos {
   // Returns false (rejecting the proposal) if this configuration is stopped.
   bool Append(Entry entry);
 
+  // The storage's pending mutations became durable (a group commit). A
+  // leader counts its own acceptance of its log toward a majority only from
+  // here on, which may decide entries. No-op while the storage still reports
+  // pending mutations; in-memory storage never does, so its owners never
+  // need to call this.
+  void OnDurable();
+
   // --- Outputs ------------------------------------------------------------
 
   // Flushes queued proposals into the log (leader) and returns all pending
@@ -167,7 +174,9 @@ class SequencePaxos {
   std::map<NodeId, PromiseMeta> promises_;  // includes self
   Ballot adoption_acc_rnd_;                 // acc_rnd of the adopted max log
   LogIndex adoption_base_len_ = 0;          // its length at adoption time
-  std::map<NodeId, LogIndex> las_;          // last accepted index per server
+  // Last accepted index per server; the leader's own entry only ever covers
+  // what its storage holds durably (OnDurable).
+  std::map<NodeId, LogIndex> las_;
   std::map<NodeId, LogIndex> next_send_;    // next log index to ship per follower
 
   std::vector<Entry> proposal_queue_;  // client proposals awaiting the log

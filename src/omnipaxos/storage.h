@@ -175,6 +175,13 @@ class Storage {
     decided_idx_ = idx;
   }
 
+  // --- Durability -----------------------------------------------------------
+  // True while some mutation is applied in memory but not yet durable (a
+  // persistent backend between a mutation and its group commit). A leader
+  // counts its own acceptance toward a majority only while this is false
+  // (SequencePaxos::OnDurable). In-memory storage is never pending.
+  virtual bool HasPending() const { return false; }
+
  protected:
   // Restores state without consistency checks (recovery paths of derived
   // persistent implementations). `log` holds only the physical suffix

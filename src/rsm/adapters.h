@@ -118,14 +118,19 @@ class OmniNode {
       out.emplace_back(o.to, std::move(o.body));
     }
     // Persist-before-send: the harness drains outgoing messages once after
-    // every event, so the group commit here is the same per-flush fdatasync
-    // boundary the TCP runtime uses — no promise/accept/decide leaves the
-    // node before the mutations behind it are on disk. It runs after the
-    // drain because draining journals too: the leader's FlushProposals
-    // appends the batch its <AcceptDecide> carries.
+    // every event and commits here, so nothing leaves the node before the
+    // mutations behind it are on disk. It runs after the drain because
+    // draining journals too: the leader's FlushProposals appends the batch
+    // its <AcceptDecide> carries. The leader then counts its own acceptance
+    // (OnDurable), which may journal a decide; that is committed too, so a
+    // restart never meets unsynced state and the run keeps the memory-backed
+    // EventHash.
     if (durable_ != nullptr) {
-      OPX_CHECK(durable_->Sync()) << "WAL group commit failed: " << durable_->wal_error();
-      OPX_CHECK(!durable_->HasPending()) << "WAL group commit left unsynced mutations";
+      Commit();
+      node_->OnDurable();
+      if (durable_->HasPending()) {
+        Commit();
+      }
     }
     return out;
   }
@@ -161,14 +166,21 @@ class OmniNode {
   omni::OmniPaxos& impl() { return *node_; }
 
  private:
+  void Commit() {
+    OPX_CHECK(durable_->Sync()) << "WAL group commit failed: " << durable_->wal_error();
+  }
+
   // A real crash-recovery: every simulated restart goes through the same
   // DurableStorage::Recover path a production omni_node uses, with the
   // journal's unsynced tail deliberately mangled first (the crash happened
   // mid-append, as far as recovery can tell). The recovered state must
   // fingerprint-identically to the pre-crash storage — every mutation was
-  // group-committed at the TakeOutgoing boundary before any message left, so
-  // a WAL-backed chaos run replays to the same EventHash as a memory-backed
-  // one.
+  // group-committed at the TakeOutgoing boundary, including a decide the
+  // leader's OnDurable journaled after the first commit, so a WAL-backed
+  // chaos run replays to the same EventHash as a memory-backed one. (The
+  // TCP server is looser: it lets AcceptDecide, Decide and client frames out
+  // before its commit, so a real crash may lose a decide record that was
+  // already reported; DESIGN.md §17 says why that is safe.)
   void RestartFromWal() {
     OPX_CHECK(!durable_->HasPending())
         << "crash with unsynced mutations: a message escaped before its commit";

@@ -7,9 +7,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "src/audit/auditor.h"
 #include "src/omnipaxos/durable_storage.h"
 #include "src/omnipaxos/omni_paxos.h"
 #include "src/omnipaxos/sequence_paxos.h"
@@ -855,6 +860,272 @@ TEST(DurableStorage, SimNodeCommitsTheBatchItsDrainJournals) {
   node.Restart(opts);
   EXPECT_EQ(StorageFingerprint(node.impl().storage()), sent_from);
   EXPECT_EQ(node.impl().log_len(), 1u);
+}
+
+// --- The leader's write runs alongside its followers' ----------------------
+
+// Three OmniPaxos servers on DurableStorage, each journaling to its own
+// FaultFs and driven the way OmniTcpServer drives one (DESIGN.md §17): a
+// server group-commits after taking its output and only then counts its own
+// acceptance (OnDurable). Settle() delivers every message after its sender's
+// commit; the tests step the leader's <AcceptDecide> and <Decide> out before
+// its commit by hand. The auditor sees every live server after every
+// delivery, except a recovered one until it is back in the Accept phase: its
+// unsynced decide record died with it, and it re-learns the index at resync.
+class DurableTrio {
+ public:
+  DurableTrio() {
+    for (NodeId id = 1; id <= 3; ++id) {
+      fs_[id] = std::make_unique<FaultFs>();
+      storage_[id] = DurableStorage::Create(fs_[id].get(), kDir, ExplicitSyncOnly());
+      node_[id] = Make(id, /*recovered=*/false);
+    }
+  }
+
+  omni::OmniPaxos& node(NodeId id) { return *node_[id]; }
+  DurableStorage& storage(NodeId id) { return *storage_[id]; }
+  FaultFs& fs(NodeId id) { return *fs_[id]; }
+  const audit::SafetyAuditor& auditor() const { return auditor_; }
+
+  // The end of a server pass: one group commit, then the leader counts the
+  // entries it made durable.
+  void Commit(NodeId id) {
+    EXPECT_TRUE(storage_[id]->Sync());
+    node_[id]->OnDurable();
+  }
+
+  void Deliver(NodeId from, NodeId to, omni::OmniMessage msg) {
+    if (!isolated_[from] && !isolated_[to]) {
+      node_[to]->Handle(from, std::move(msg));
+    }
+    Audit();
+  }
+
+  void DeliverAll(NodeId from, std::vector<omni::OmniOut> outs) {
+    for (omni::OmniOut& out : outs) {
+      Deliver(from, out.to, std::move(out.body));
+    }
+  }
+
+  // Takes every server's output, commits, then delivers; until quiet.
+  void Settle() {
+    for (int round = 0; round < 100; ++round) {
+      bool quiet = true;
+      for (NodeId id = 1; id <= 3; ++id) {
+        std::vector<omni::OmniOut> outs = node_[id]->TakeOutgoing();
+        Commit(id);
+        quiet = quiet && outs.empty();
+        DeliverAll(id, std::move(outs));
+      }
+      if (quiet) {
+        return;
+      }
+    }
+    ADD_FAILURE() << "messages still flowing after 100 rounds";
+  }
+
+  void Tick() {
+    for (NodeId id = 1; id <= 3; ++id) {
+      node_[id]->TickElection();
+    }
+    Settle();
+  }
+
+  void Isolate(NodeId id) { isolated_[id] = true; }
+  void Heal(NodeId id) {
+    isolated_[id] = false;
+    for (NodeId other = 1; other <= 3; ++other) {
+      if (other != id) {
+        node_[id]->Reconnected(other);
+        node_[other]->Reconnected(id);
+      }
+    }
+    Settle();
+  }
+
+  // Kills server `id` the instant its journal had landed `byte` bytes, with
+  // everything it had not synced lost, and restarts it from that journal.
+  void CrashAndRecover(NodeId id, uint64_t byte) {
+    std::unique_ptr<FaultFs> cut = fs_[id]->CutAtByte(byte, /*drop_unsynced=*/true);
+    node_[id] = nullptr;
+    storage_[id] = nullptr;
+    fs_[id] = std::move(cut);
+    std::string error;
+    storage_[id] = DurableStorage::Recover(fs_[id].get(), kDir, ExplicitSyncOnly(), &error);
+    ASSERT_NE(storage_[id], nullptr) << error;
+    node_[id] = Make(id, /*recovered=*/true);
+    resyncing_[id] = true;
+  }
+
+ private:
+  std::unique_ptr<omni::OmniPaxos> Make(NodeId id, bool recovered) {
+    omni::OmniConfig cfg;
+    cfg.pid = id;
+    for (NodeId p = 1; p <= 3; ++p) {
+      if (p != id) {
+        cfg.peers.push_back(p);
+      }
+    }
+    cfg.ble_priority = id == 1 ? 1 : 0;
+    return std::make_unique<omni::OmniPaxos>(cfg, storage_[id].get(), recovered);
+  }
+
+  void Audit() {
+    std::vector<audit::AuditView> views;
+    for (NodeId id = 1; id <= 3; ++id) {
+      if (resyncing_[id] && node_[id]->paxos().phase() == omni::Phase::kAccept) {
+        resyncing_[id] = false;
+      }
+      if (!resyncing_[id]) {
+        views.push_back(node_[id]->Audit());
+      }
+    }
+    auditor_.Observe(views, audit::AuditContext{});
+  }
+
+  std::unique_ptr<FaultFs> fs_[4];
+  std::unique_ptr<DurableStorage> storage_[4];
+  std::unique_ptr<omni::OmniPaxos> node_[4];
+  bool isolated_[4] = {};
+  bool resyncing_[4] = {};
+  audit::SafetyAuditor auditor_{audit::SafetyAuditor::Options{.abort_on_violation = false}};
+};
+
+// Every decided index any server reports, with its command.
+std::map<LogIndex, uint64_t> DecidedCommands(DurableTrio& c) {
+  std::map<LogIndex, uint64_t> decided;
+  for (NodeId id = 1; id <= 3; ++id) {
+    const omni::Storage& s = c.node(id).storage();
+    for (LogIndex i = s.compacted_idx(); i < s.decided_idx(); ++i) {
+      decided[i] = s.At(i).cmd_id;
+    }
+  }
+  return decided;
+}
+
+// Elects server 1 and decides commands 1..3 on all three, everything synced.
+void DecideThree(DurableTrio& c) {
+  for (int i = 0; i < 10 && !c.node(1).IsLeader(); ++i) {
+    c.Tick();
+  }
+  ASSERT_TRUE(c.node(1).IsLeader());
+  for (uint64_t cmd = 1; cmd <= 3; ++cmd) {
+    c.node(1).Append(Entry::Command(cmd, 8));
+    c.Settle();
+  }
+  for (NodeId id = 1; id <= 3; ++id) {
+    ASSERT_EQ(c.node(id).decided_idx(), 3u) << "server " << id;
+    ASSERT_FALSE(c.storage(id).HasPending());
+  }
+}
+
+// Server 1 proposes commands 11..14 and sends its <AcceptDecide> before its
+// own commit; `ackers` receive it, commit, and vote. Then whatever server 1
+// sends next (a <Decide>, if it decided) leaves before its commit as well.
+void ProposeBatch(DurableTrio& c, const std::vector<NodeId>& ackers) {
+  for (uint64_t cmd = 11; cmd <= 14; ++cmd) {
+    c.node(1).Append(Entry::Command(cmd, 8));
+  }
+  std::vector<omni::OmniOut> proposal = c.node(1).TakeOutgoing();
+  ASSERT_TRUE(c.storage(1).HasPending()) << "the batch is journaled, not yet synced";
+  ASSERT_EQ(proposal.size(), 2u);
+  for (omni::OmniOut& out : proposal) {
+    ASSERT_TRUE(std::holds_alternative<omni::AcceptDecide>(
+        std::get<omni::PaxosMessage>(out.body)));
+    if (std::find(ackers.begin(), ackers.end(), out.to) != ackers.end()) {
+      c.Deliver(1, out.to, std::move(out.body));
+    }
+  }
+  for (NodeId f : ackers) {
+    std::vector<omni::OmniOut> votes = c.node(f).TakeOutgoing();
+    c.Commit(f);  // a vote leaves only after its sender's commit
+    c.DeliverAll(f, std::move(votes));
+  }
+  c.DeliverAll(1, c.node(1).TakeOutgoing());
+  ASSERT_TRUE(c.storage(1).HasPending());
+}
+
+// The leader's commit starts and the process dies while the batch is
+// landing: none of it was synced. Server 1 restarts from its journal, and
+// the others resynchronize it with server 2 cut off, so server 3 is the only
+// other copy of the batch. Returns the server leading the new round.
+NodeId CrashLeaderMidCommit(DurableTrio& c) {
+  const uint64_t synced = c.fs(1).total_appended();
+  EXPECT_TRUE(c.storage(1).Sync());
+  const uint64_t landed = c.fs(1).total_appended();
+  EXPECT_GT(landed, synced);
+  c.CrashAndRecover(1, synced + (landed - synced) / 2);
+  EXPECT_EQ(c.storage(1).log_len(), 3u) << "the batch died with the leader";
+  EXPECT_EQ(c.storage(1).decided_idx(), 3u);
+  c.Isolate(2);
+  for (int i = 0; i < 50; ++i) {
+    c.Tick();
+    for (NodeId id : {1, 3}) {
+      if (c.node(id).IsLeader() && c.node(1).paxos().phase() == omni::Phase::kAccept) {
+        return id;
+      }
+    }
+  }
+  ADD_FAILURE() << "servers 1 and 3 never resynchronized";
+  return kNoNode;
+}
+
+// Every index in `reported` is decided, with the same command, on `ids`.
+void ExpectStillDecided(DurableTrio& c, const std::map<LogIndex, uint64_t>& reported,
+                        std::initializer_list<NodeId> ids) {
+  for (NodeId id : ids) {
+    const omni::Storage& s = c.node(id).storage();
+    for (const auto& [idx, cmd] : reported) {
+      ASSERT_LT(idx, s.decided_idx()) << "server " << id << " lost decided index " << idx;
+      EXPECT_EQ(s.At(idx).cmd_id, cmd) << "server " << id << " index " << idx;
+    }
+  }
+}
+
+TEST(DurableStorageLeaderWrite, BatchDecidedByBothFollowersSurvivesTheLeaderLosingIt) {
+  DurableTrio c;
+  DecideThree(c);
+  ProposeBatch(c, {2, 3});
+  EXPECT_EQ(c.node(1).decided_idx(), 7u) << "two durable followers are a majority";
+  EXPECT_EQ(c.node(3).decided_idx(), 7u) << "the <Decide> left before the commit";
+  const std::map<LogIndex, uint64_t> reported = DecidedCommands(c);
+  ASSERT_EQ(reported.size(), 7u);
+
+  const NodeId leader = CrashLeaderMidCommit(c);
+  ASSERT_NE(leader, kNoNode);
+  ExpectStillDecided(c, reported, {1, 3});
+  c.node(leader).Append(Entry::Command(21, 8));
+  c.Settle();
+  EXPECT_EQ(c.node(1).decided_idx(), 8u);
+  c.Heal(2);
+  c.Tick();
+  ExpectStillDecided(c, reported, {1, 2, 3});
+  EXPECT_TRUE(c.auditor().violations().empty()) << c.auditor().Report();
+}
+
+TEST(DurableStorageLeaderWrite, OneFollowerAckDecidesNothingWhileTheLeaderIsPending) {
+  DurableTrio c;
+  DecideThree(c);
+  ProposeBatch(c, {2});
+  for (NodeId id = 1; id <= 3; ++id) {
+    EXPECT_EQ(c.node(id).decided_idx(), 3u) << "server " << id;
+  }
+  const std::map<LogIndex, uint64_t> reported = DecidedCommands(c);
+  ASSERT_EQ(reported.size(), 3u);
+
+  // Servers 1 and 3 never held the batch durably, so the new round drops it
+  // and decides command 21 at index 3 instead; nothing decided is lost.
+  const NodeId leader = CrashLeaderMidCommit(c);
+  ASSERT_NE(leader, kNoNode);
+  c.node(leader).Append(Entry::Command(21, 8));
+  c.Settle();
+  ExpectStillDecided(c, reported, {1, 3});
+  EXPECT_EQ(c.node(3).storage().At(3).cmd_id, 21u);
+  c.Heal(2);
+  c.Tick();
+  ExpectStillDecided(c, reported, {1, 2, 3});
+  EXPECT_EQ(c.node(2).storage().At(3).cmd_id, 21u) << "server 2's undecided copy is overwritten";
+  EXPECT_TRUE(c.auditor().violations().empty()) << c.auditor().Report();
 }
 
 }  // namespace

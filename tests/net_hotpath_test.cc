@@ -6,6 +6,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +24,7 @@
 #include "src/net/epoll_loop.h"
 #include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
+#include "src/net/tcp_transport.h"
 #include "tests/tcp_cluster.h"
 
 namespace opx {
@@ -527,6 +529,85 @@ TEST_F(TcpEpollLoopTest, TimerFiresAndCoalescesMissedPeriods) {
 
   loop.CancelTimer(timer);
   EXPECT_EQ(loop.watched(), 0u);
+}
+
+// --- TcpTransport: the flush hook runs before any queued frame leaves ------
+
+// Writes one [u32 len][payload] frame to a blocking socket.
+bool WriteFrame(int fd, std::vector<uint8_t> payload) {
+  std::vector<uint8_t> frame(4);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  net::PatchFrameLength(&frame, 0);
+  return write(fd, frame.data(), frame.size()) == static_cast<ssize_t>(frame.size());
+}
+
+// A blocking client socket connected to `port` that has sent its hello.
+int ConnectClient(uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd < 0 || connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      !WriteFrame(fd, {net::kHelloClient})) {
+    ADD_FAILURE() << "cannot connect a client to port " << port;
+  }
+  return fd;
+}
+
+int Unread(int fd) {
+  int n = 0;
+  ioctl(fd, FIONREAD, &n);
+  return n;
+}
+
+// Edge-triggered epoll reports EPOLLOUT with every EPOLLIN on a writable
+// socket. Two clients' frames land in one epoll batch, and the handler for
+// each queues a frame to the other, so whichever connection is dispatched
+// second is writable with a frame queued earlier in the same dispatch. That
+// frame must wait for Flush(), and so for the hook.
+TEST(TcpFlushHook, FrameQueuedEarlierInTheSameDispatchWaitsForTheHook) {
+  net::TcpTransport transport(1, 0, {});
+  ASSERT_TRUE(transport.Start());
+  // Client ids follow hello order: a is client 1, b is client 2.
+  const int a = ConnectClient(transport.listen_port());
+  for (int i = 0; i < 200 && transport.client_count() < 1; ++i) {
+    transport.Poll(10);
+  }
+  const int b = ConnectClient(transport.listen_port());
+  for (int i = 0; i < 200 && transport.client_count() < 2; ++i) {
+    transport.Poll(10);
+  }
+  ASSERT_EQ(transport.client_count(), 2u);
+
+  transport.set_client_frame_handler([&transport](uint64_t client, const uint8_t*, size_t) {
+    const uint8_t reply = 0x42;
+    transport.SendToClient(client == 1 ? 2 : 1, &reply, 1);
+  });
+  int hook_runs = 0;
+  int unread_at_hook = 0;
+  transport.set_flush_hook([&] {
+    ++hook_runs;
+    unread_at_hook += Unread(a) + Unread(b);
+  });
+
+  ASSERT_TRUE(WriteFrame(a, {0x01}));
+  ASSERT_TRUE(WriteFrame(b, {0x01}));
+  // Both frames sit in the kernel before the wait, so one epoll batch
+  // reports both connections.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  transport.Poll(1000);
+  EXPECT_EQ(hook_runs, 1);
+  EXPECT_EQ(unread_at_hook, 0) << "a frame reached a client before the flush hook ran";
+
+  // After the hook, each client gets its one reply frame (4 + 1 bytes).
+  for (int i = 0; i < 200 && (Unread(a) < 5 || Unread(b) < 5); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(Unread(a), 5);
+  EXPECT_EQ(Unread(b), 5);
+  close(a);
+  close(b);
 }
 
 // --- 64-connection multiplexing against a real loopback cluster -----------

@@ -334,5 +334,95 @@ TEST(SpUnit, ReconnectedLeaderReSyncsThePeer) {
   EXPECT_EQ(TakeOfType<Prepare>(sp).size(), 1u);
 }
 
+// --- The leader counts itself only once durable ----------------------------
+
+// Storage whose "unsynced mutations" flag the test sets, standing in for a
+// WAL between a mutation and its group commit.
+struct PendingStorage : Storage {
+  bool pending = false;
+  bool HasPending() const override { return pending; }
+};
+
+// Makes `sp` (pid 1) leader with both followers promised, then proposes one
+// entry while the storage reports it pending; returns the round.
+Ballot ProposeWhilePending(SequencePaxos& sp, PendingStorage& storage) {
+  const Ballot b = MakeLeader(sp);
+  Promise late;
+  late.n = b;
+  sp.Handle(3, late);
+  (void)sp.TakeOutgoing();
+  storage.pending = true;
+  sp.Append(Entry::Command(7, 8));
+  NodeId to = kNoNode;
+  EXPECT_EQ(TakeOfType<AcceptDecide>(sp, &to).size(), 2u);  // sent before the commit
+  return b;
+}
+
+TEST(SpUnit, PendingLeaderNeedsOnDurableToDecideWithOneFollower) {
+  PendingStorage storage;
+  SequencePaxos sp(Config3(1), &storage);
+  const Ballot b = ProposeWhilePending(sp, storage);
+  sp.Handle(2, Accepted{b, 1});
+  EXPECT_EQ(sp.decided_idx(), 0u) << "one follower plus a leader that is not durable";
+  sp.OnDurable();  // the commit has not landed yet: still nothing
+  EXPECT_EQ(sp.decided_idx(), 0u);
+
+  storage.pending = false;
+  sp.OnDurable();
+  EXPECT_EQ(sp.decided_idx(), 1u);
+  const auto decides = TakeOfType<Decide>(sp);
+  ASSERT_EQ(decides.size(), 2u);
+  EXPECT_EQ(decides[0].decided_idx, 1u);
+}
+
+TEST(SpUnit, TwoFollowersDecideWithoutThePendingLeader) {
+  PendingStorage storage;
+  SequencePaxos sp(Config3(1), &storage);
+  const Ballot b = ProposeWhilePending(sp, storage);
+  sp.Handle(2, Accepted{b, 1});
+  sp.Handle(3, Accepted{b, 1});
+  EXPECT_EQ(sp.decided_idx(), 1u) << "two durable followers are a majority";
+}
+
+TEST(SpUnit, PendingLeaderCountsItsAdoptedLogOnlyOnceDurable) {
+  PendingStorage storage;
+  storage.pending = true;
+  SequencePaxos sp(Config3(1), &storage);
+  const Ballot b{5, 0, 1};
+  sp.HandleLeader(b);
+  (void)sp.TakeOutgoing();
+  Promise pr;
+  pr.n = b;
+  pr.acc_rnd = Ballot{4, 0, 2};
+  pr.log_idx = 2;
+  pr.suffix = {Entry::Command(10, 8), Entry::Command(11, 8)};
+  sp.Handle(2, pr);  // adopts server 2's log in round b
+  ASSERT_TRUE(sp.IsLeader());
+  ASSERT_EQ(sp.log_len(), 2u);
+  ASSERT_EQ(TakeOfType<AcceptSync>(sp).size(), 1u);
+  sp.Handle(2, Accepted{b, 2});
+  EXPECT_EQ(sp.decided_idx(), 0u) << "the adoption in round b is not durable on the leader";
+  storage.pending = false;
+  sp.OnDurable();
+  EXPECT_EQ(sp.decided_idx(), 2u);
+}
+
+TEST(SpUnit, PendingSingleServerDecidesOnlyAfterOnDurable) {
+  PendingStorage storage;
+  storage.pending = true;
+  SequencePaxosConfig cfg;
+  cfg.pid = 1;
+  SequencePaxos sp(cfg, &storage);
+  sp.HandleLeader(Ballot{1, 0, 1});  // its own promise is a majority
+  ASSERT_TRUE(sp.IsLeader());
+  sp.Append(Entry::Command(7, 8));
+  (void)sp.TakeOutgoing();
+  EXPECT_EQ(sp.log_len(), 1u);
+  EXPECT_EQ(sp.decided_idx(), 0u);
+  storage.pending = false;
+  sp.OnDurable();
+  EXPECT_EQ(sp.decided_idx(), 1u);
+}
+
 }  // namespace
 }  // namespace opx

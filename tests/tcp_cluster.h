@@ -123,6 +123,10 @@ class TcpCluster {
   }
 
   const std::map<NodeId, net::Endpoint>& endpoints() const { return endpoints_; }
+  // Server `id`'s WAL directory (empty without `wal`).
+  const std::string& wal_dir(NodeId id) const {
+    return options_[static_cast<size_t>(id)].wal_dir;
+  }
 
  private:
   struct Slot {

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -253,6 +255,55 @@ TEST(TcpRuntime, PipelinedLeaseReadsGetOneReplyEachInOrder) {
   // check above, including one that would trail the last reply.
   raw.ReadFrames(200, on_frame);
   EXPECT_EQ(next_read, kReads + 1);
+}
+
+// The leader ships each batch before its own fdatasync, and the leader
+// counts itself only once durable, so every append a client saw decided is
+// in the journal of a majority. A raw client pipelines appends to the leader
+// of a WAL-backed cluster (compaction off) and keeps every id it sees in a
+// decided push; once the servers stop, each one's WAL is recovered from disk.
+TEST(TcpRuntime, EveryAcknowledgedAppendIsInTheJournalOfAMajority) {
+  TcpCluster cluster({.wal = true, .election_timeout = Millis(100)});
+  OmniClient client(cluster.endpoints());
+  ASSERT_TRUE(client.Connect(Seconds(10)));
+  ASSERT_TRUE(client.AppendAndWait(1, 8, Seconds(10)));
+  OmniClient::Status status;
+  ASSERT_TRUE(client.GetStatus(&status, Seconds(5)));
+  ASSERT_NE(status.leader, kNoNode);
+
+  constexpr uint64_t kAppends = 1200;
+  constexpr uint64_t kFirstId = 1000;
+  RawClient raw(cluster.endpoints().at(status.leader));
+  for (uint64_t id = kFirstId; id < kFirstId + kAppends; ++id) {
+    const auto append = net::EncodeAppendRequest({id, 8});
+    raw.Queue(append.data(), append.size());
+  }
+  ASSERT_TRUE(raw.SendQueued());
+  std::set<uint64_t> acked;
+  raw.ReadFrames(20'000, [&](const uint8_t* d, size_t len) {
+    std::vector<uint64_t> ids;
+    if (len > 0 && d[0] == net::kDecidedBatchTag && net::DecodeDecidedBatch(d, len, &ids)) {
+      acked.insert(ids.begin(), ids.end());
+    }
+    return acked.size() < kAppends;
+  });
+  EXPECT_EQ(acked.size(), kAppends);
+
+  std::map<uint64_t, int> copies;  // command id -> recovered logs holding it
+  for (NodeId id = 1; id <= 3; ++id) {
+    cluster.StopServer(id);
+    std::string error;
+    auto recovered = omni::DurableStorage::Recover(wal::PosixEnv(), cluster.wal_dir(id),
+                                                   wal::WalOptions(), &error);
+    ASSERT_NE(recovered, nullptr) << "server " << id << ": " << error;
+    ASSERT_EQ(recovered->compacted_idx(), 0u);
+    for (const omni::Entry& e : recovered->log()) {
+      ++copies[e.cmd_id];
+    }
+  }
+  for (uint64_t id : acked) {
+    EXPECT_GE(copies[id], 2) << "acknowledged append " << id << " is not on a majority";
+  }
 }
 
 }  // namespace

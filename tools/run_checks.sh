@@ -56,9 +56,11 @@
 # --wal-smoke gates the durability layer (DESIGN.md §17): the WAL + durable
 # storage test tiers under ASan+UBSan — including the crash-point matrix that
 # kills the journal at every byte offset via FaultFs, recovers, and asserts a
-# fingerprint-exact consistent prefix — then a release chaos run where every
-# simulated crash restarts through genuine segmented-WAL recovery and must
-# land on the same EventHash as a memory-backed run of the same schedule.
+# fingerprint-exact consistent prefix — and the TCP runtime tests, whose
+# WAL-backed servers hold votes until the group commit; then a release chaos
+# run where every simulated crash restarts through genuine segmented-WAL
+# recovery and must land on the same EventHash as a memory-backed run of the
+# same schedule.
 #
 # --chaos-smoke runs the chaos fuzzer (DESIGN.md §10) end to end: N seeded
 # schedules per protocol with replay-determinism checking, in both a plain
@@ -287,8 +289,10 @@ if [ "${1:-}" = "--wal-smoke" ]; then
   echo "ok"
 
   step "WAL + durable-storage tiers under ASan (crash matrix at every byte offset)"
+  # TcpRuntime.* runs the WAL-backed server, the only one that holds votes
+  # back until its group commit.
   if "$ASAN/tests/opx_tests" \
-      --gtest_filter='SegmentedWal.*:FaultFs.*:WalInspect.*:DurableStorage*.*'; then
+      --gtest_filter='SegmentedWal.*:FaultFs.*:WalInspect.*:DurableStorage*.*:TcpRuntime.*'; then
     echo "ok"
   else
     echo "WAL test tier FAILED"
