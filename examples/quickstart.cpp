@@ -5,6 +5,7 @@
 // Walks through the core API: build a LocalCluster, elect a leader through
 // Ballot Leader Election, replicate commands with Sequence Paxos, survive a
 // leader crash, and show that every server decided the same log.
+#include <algorithm>
 #include <cstdio>
 
 #include "src/rsm/local_cluster.h"
@@ -60,6 +61,20 @@ int main() {
       std::printf(" %lu", storage.At(i).cmd_id);
     }
     std::printf("\n");
+  }
+  // SC2: any two decided logs agree on their common prefix.
+  for (NodeId a = 1; a <= 3; ++a) {
+    for (NodeId b = a + 1; b <= 3; ++b) {
+      const LogIndex common =
+          std::min(cluster.node(a).decided_idx(), cluster.node(b).decided_idx());
+      for (LogIndex i = 0; i < common; ++i) {
+        if (cluster.storage(a).At(i) != cluster.storage(b).At(i)) {
+          std::printf("\nSequence Consensus VIOLATED: s%d and s%d differ at index %lu\n",
+                      a, b, i);
+          return 1;
+        }
+      }
+    }
   }
   std::printf("\nall servers decided identical logs — Sequence Consensus holds.\n");
   return 0;

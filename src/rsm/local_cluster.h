@@ -3,66 +3,47 @@
 // the examples: no simulator, no networking — call Step() to exchange
 // messages, Tick() to advance election heartbeats, and Append() to replicate.
 //
-// For latency/bandwidth-faithful experiments use rsm::ClusterSim instead.
+// A facade over OmniCluster (lockstep_cluster.h) that settles after every
+// call and feeds newly decided entries to an apply callback. For
+// latency/bandwidth-faithful experiments use rsm::ClusterSim instead.
 #ifndef SRC_RSM_LOCAL_CLUSTER_H_
 #define SRC_RSM_LOCAL_CLUSTER_H_
 
 #include <algorithm>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "src/omnipaxos/omni_paxos.h"
-#include "src/util/check.h"
+#include "src/rsm/lockstep_cluster.h"
+#include "src/util/unique_function.h"
 
 namespace opx::rsm {
 
 class LocalCluster {
  public:
   // Called for every newly decided entry, on every live server, in log order.
-  // Real-TCP harness callback (not under the deterministic simulator), set
-  // once at startup; the PR 2 std::function ban targets the sim hot paths.
-  using ApplyFn = std::function<void(NodeId server, LogIndex idx,  // NOLINT(opx-determinism)
-                                     const omni::Entry& entry)>;
+  using ApplyFn =
+      util::UniqueFunction<void(NodeId server, LogIndex idx, const omni::Entry& entry)>;
 
-  explicit LocalCluster(int num_servers, uint32_t leader_priority_node = 1)
-      : n_(num_servers) {
-    OPX_CHECK_GT(num_servers, 0);
-    storages_.resize(static_cast<size_t>(n_) + 1);
-    nodes_.resize(static_cast<size_t>(n_) + 1);
-    applied_.resize(static_cast<size_t>(n_) + 1, 0);
-    for (NodeId id = 1; id <= n_; ++id) {
-      storages_[static_cast<size_t>(id)] = std::make_unique<omni::Storage>();
-      omni::OmniConfig cfg;
-      cfg.pid = id;
-      for (NodeId peer = 1; peer <= n_; ++peer) {
-        if (peer != id) {
-          cfg.peers.push_back(peer);
-        }
-      }
-      cfg.ble_priority = (static_cast<uint32_t>(id) == leader_priority_node) ? 1u : 0u;
-      nodes_[static_cast<size_t>(id)] =
-          std::make_unique<omni::OmniPaxos>(cfg, storages_[static_cast<size_t>(id)].get());
-    }
-  }
+  // `preferred_leader` wins the first election (kNoNode for none).
+  explicit LocalCluster(int num_servers, NodeId preferred_leader = 1)
+      : cluster_(num_servers, preferred_leader),
+        applied_(static_cast<size_t>(num_servers) + 1, 0) {}
 
   void set_apply(ApplyFn fn) { apply_ = std::move(fn); }
 
-  int size() const { return n_; }
-  omni::OmniPaxos& node(NodeId id) { return *nodes_[Checked(id)]; }
-  const omni::Storage& storage(NodeId id) const { return *storages_[Checked(id)]; }
+  int size() const { return cluster_.size(); }
+  omni::OmniPaxos& node(NodeId id) { return cluster_.node(id); }
+  const omni::Storage& storage(NodeId id) const { return cluster_.storage(id); }
+  bool LinkUp(NodeId a, NodeId b) const { return cluster_.LinkUp(a, b); }
+  bool IsCrashed(NodeId id) const { return cluster_.IsCrashed(id); }
+  // Leader claimant with the highest ballot.
+  NodeId CurrentLeader() { return cluster_.CurrentLeader(); }
 
   // One election heartbeat period on every live server, then settle.
   void Tick() {
-    for (NodeId id = 1; id <= n_; ++id) {
-      if (!IsCrashed(id)) {
-        node(id).TickElection();
-      }
-    }
-    Step();
+    cluster_.Tick();
+    Apply();
   }
 
   void TickRounds(int rounds) {
@@ -85,140 +66,58 @@ class LocalCluster {
   // Proposes a command at `server` (leaders accept directly; followers
   // forward). Returns false if the configuration is stopped.
   bool Append(NodeId server, uint64_t cmd_id, uint32_t payload_bytes = 8) {
-    const bool ok = node(server).Append(omni::Entry::Command(cmd_id, payload_bytes));
-    Step();
+    const bool ok = cluster_.Append(server, cmd_id, payload_bytes);
+    Apply();
     return ok;
   }
 
   // Exchanges all outstanding messages until the cluster is quiescent,
   // applying newly decided entries through the apply callback.
   void Step() {
-    Collect();
-    size_t guard = 0;
-    while (!queue_.empty()) {
-      OPX_CHECK_LT(++guard, 10'000'000u);
-      Wire w = std::move(queue_.front());
-      queue_.pop_front();
-      if (IsCrashed(w.to) || IsCrashed(w.from) || !LinkUp(w.from, w.to)) {
-        continue;
-      }
-      node(w.to).Handle(w.from, std::move(w.body));
-      Collect();
-    }
+    cluster_.Collect();
+    cluster_.DeliverAll();
     Apply();
   }
 
   // --- Fault injection -------------------------------------------------------
 
   void SetLink(NodeId a, NodeId b, bool up) {
-    const std::pair<NodeId, NodeId> key = std::minmax(a, b);
-    if (up) {
-      const bool was_down = down_links_.erase(key) > 0;
-      if (was_down && !IsCrashed(a) && !IsCrashed(b)) {
-        node(a).Reconnected(b);
-        node(b).Reconnected(a);
-        Step();
-      }
-    } else {
-      down_links_.insert(key);
+    const bool heals = up && !LinkUp(a, b) && !IsCrashed(a) && !IsCrashed(b);
+    cluster_.SetLink(a, b, up);
+    if (heals) {
+      Step();
     }
   }
 
-  bool LinkUp(NodeId a, NodeId b) const { return down_links_.count(std::minmax(a, b)) == 0; }
+  void Crash(NodeId id) { cluster_.Crash(id); }
 
-  void Crash(NodeId id) {
-    crashed_.insert(id);
-    nodes_[Checked(id)] = nullptr;
-    std::deque<Wire> kept;
-    for (Wire& w : queue_) {
-      if (w.from != id && w.to != id) {
-        kept.push_back(std::move(w));
-      }
-    }
-    queue_ = std::move(kept);
-  }
-
-  // Restarts a crashed server from its persistent storage (§4.1.3).
+  // Restarts a crashed server from its persistent storage (§4.1.3) and
+  // replays its decided entries into the apply callback.
   void Restart(NodeId id) {
-    OPX_CHECK(IsCrashed(id));
-    crashed_.erase(id);
-    omni::OmniConfig cfg;
-    cfg.pid = id;
-    for (NodeId peer = 1; peer <= n_; ++peer) {
-      if (peer != id) {
-        cfg.peers.push_back(peer);
-      }
-    }
-    nodes_[Checked(id)] = std::make_unique<omni::OmniPaxos>(
-        cfg, storages_[Checked(id)].get(), /*recovered=*/true);
-    // Replay already-decided entries into the apply callback after recovery.
-    applied_[Checked(id)] = 0;
+    cluster_.Restart(id);
+    applied_[static_cast<size_t>(id)] = 0;
     Step();
   }
 
-  bool IsCrashed(NodeId id) const { return crashed_.count(id) > 0; }
-
-  // Leader claimant with the highest ballot.
-  NodeId CurrentLeader() {
-    NodeId best = kNoNode;
-    omni::Ballot best_ballot;
-    for (NodeId id = 1; id <= n_; ++id) {
-      if (!IsCrashed(id) && node(id).IsLeader() &&
-          node(id).paxos().leader_ballot() > best_ballot) {
-        best = id;
-        best_ballot = node(id).paxos().leader_ballot();
-      }
-    }
-    return best;
-  }
-
  private:
-  struct Wire {
-    NodeId from;
-    NodeId to;
-    omni::OmniMessage body;
-  };
-
-  size_t Checked(NodeId id) const {
-    OPX_CHECK(id >= 1 && id <= n_);
-    return static_cast<size_t>(id);
-  }
-
-  void Collect() {
-    for (NodeId id = 1; id <= n_; ++id) {
-      if (IsCrashed(id)) {
-        continue;
-      }
-      for (omni::OmniOut& out : node(id).TakeOutgoing()) {
-        queue_.push_back(Wire{id, out.to, std::move(out.body)});
-      }
-    }
-  }
-
   void Apply() {
     if (!apply_) {
       return;
     }
-    for (NodeId id = 1; id <= n_; ++id) {
+    for (NodeId id = 1; id <= size(); ++id) {
       if (IsCrashed(id)) {
         continue;
       }
-      LogIndex& applied = applied_[Checked(id)];
-      const LogIndex decided = node(id).decided_idx();
+      LogIndex& applied = applied_[static_cast<size_t>(id)];
       applied = std::max(applied, storage(id).compacted_idx());
-      for (; applied < decided; ++applied) {
+      for (const LogIndex decided = node(id).decided_idx(); applied < decided; ++applied) {
         apply_(id, applied, storage(id).At(applied));
       }
     }
   }
 
-  int n_;
-  std::vector<std::unique_ptr<omni::Storage>> storages_;
-  std::vector<std::unique_ptr<omni::OmniPaxos>> nodes_;
+  OmniCluster cluster_;
   std::vector<LogIndex> applied_;
-  std::deque<Wire> queue_;
-  std::set<std::pair<NodeId, NodeId>> down_links_;
-  std::set<NodeId> crashed_;
   ApplyFn apply_;
 };
 

@@ -22,7 +22,6 @@
 #include "src/util/le_bytes.h"
 #include "src/util/log_index.h"
 #include "src/wal/fault_fs.h"
-#include "tests/omni_test_harness.h"
 
 namespace opx {
 namespace {

@@ -23,7 +23,7 @@ TEST(LocalCluster, ElectLeaderReturnsLeader) {
 }
 
 TEST(LocalCluster, PriorityNodeWinsFirstElection) {
-  LocalCluster cluster(5, /*leader_priority_node=*/4);
+  LocalCluster cluster(5, /*preferred_leader=*/4);
   EXPECT_EQ(cluster.ElectLeader(), 4);
 }
 

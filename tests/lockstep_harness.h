@@ -1,198 +1,88 @@
-// Generic lockstep in-memory cluster for protocol unit tests.
-//
-// Works with any pull-based protocol node exposing Tick() / Handle(from, Msg)
-// / TakeOutgoing() -> vector<{to, body}>. Reconnected(peer) is invoked on
-// link heals when the node type provides it (Sequence-Paxos-based protocols).
+// The baseline protocols' rsm::LockstepCluster instances for unit tests.
+// Raft has no session-reconnect hook, so link heals do not notify its nodes —
+// exactly like the real protocol over its own retries.
 #ifndef TESTS_LOCKSTEP_HARNESS_H_
 #define TESTS_LOCKSTEP_HARNESS_H_
 
 #include <algorithm>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
-#include "src/audit/auditor.h"
+#include "src/multipaxos/multipaxos.h"
 #include "src/obs/trace.h"
-#include "src/util/check.h"
-#include "src/util/types.h"
+#include "src/raft/raft.h"
+#include "src/rsm/lockstep_cluster.h"
+#include "src/vr/vr_replica.h"
 
 namespace opx::testing {
 
-template <typename Node>
-class LockstepCluster {
+class RaftCluster : public rsm::LockstepCluster<raft::Raft> {
  public:
-  using OutVector = decltype(std::declval<Node&>().TakeOutgoing());
-  using Out = typename OutVector::value_type;
-  using Message = decltype(Out::body);
-  using Factory = std::function<std::unique_ptr<Node>(NodeId id, std::vector<NodeId> peers)>;
-
-  LockstepCluster(int n, Factory factory) : n_(n), factory_(std::move(factory)) {
-    nodes_.resize(static_cast<size_t>(n_) + 1);
-    for (NodeId id = 1; id <= n_; ++id) {
-      nodes_[static_cast<size_t>(id)] = factory_(id, PeersOf(id));
-    }
+  explicit RaftCluster(int n, raft::RaftConfig base = {})
+      : LockstepCluster(n, [base](NodeId id, std::vector<NodeId> peers, omni::Storage*, bool) {
+          peers.insert(std::upper_bound(peers.begin(), peers.end(), id), id);
+          return std::make_unique<raft::Raft>(ConfigFor(base, id, std::move(peers)));
+        }),
+        base_(std::move(base)) {
+    AttachObs(base_.obs);
   }
 
-  Node& node(NodeId id) { return *nodes_[Checked(id)]; }
-  int size() const { return n_; }
-
-  // Stamps the lockstep tick count as the sink's virtual time before every
-  // dispatch, so trace-oracle tests can order events by tick. The sink itself
-  // is typically already wired into each node by the test's factory; this just
-  // keeps the clock honest.
-  void AttachObs(obs::ObsSink* sink) {
-    obs_ = sink;
-    OPX_TRACE_NOW(obs_, ticks_);
-  }
-
-  void SetLink(NodeId a, NodeId b, bool up) {
-    const std::pair<NodeId, NodeId> key = std::minmax(a, b);
-    if (up) {
-      const bool was_down = down_links_.erase(key) > 0;
-      if (was_down && !IsCrashed(a) && !IsCrashed(b)) {
-        NotifyReconnect(a, b);
-        NotifyReconnect(b, a);
-        Collect();
-        AuditNow("reconnect");
-      }
-    } else {
-      down_links_.insert(key);
-    }
-  }
-
-  bool LinkUp(NodeId a, NodeId b) const {
-    return down_links_.count(std::minmax(a, b)) == 0;
-  }
-
-  void Isolate(NodeId id) {
-    for (NodeId other = 1; other <= n_; ++other) {
-      if (other != id) {
-        SetLink(id, other, false);
-      }
-    }
-  }
-
-  void HealAll() {
-    for (NodeId a = 1; a <= n_; ++a) {
-      for (NodeId b = a + 1; b <= n_; ++b) {
-        SetLink(a, b, true);
-      }
-    }
-  }
-
-  void Crash(NodeId id) { crashed_.insert(id); }
-  bool IsCrashed(NodeId id) const { return crashed_.count(id) > 0; }
-
-  void Tick() {
-    ++ticks_;
-    OPX_TRACE_NOW(obs_, ticks_);
-    for (NodeId id = 1; id <= n_; ++id) {
-      if (!IsCrashed(id)) {
-        node(id).Tick();
-      }
-    }
-    Collect();
-    AuditNow("tick");
-    DeliverAll();
-  }
-
-  void TickRounds(int rounds) {
-    for (int i = 0; i < rounds; ++i) {
-      Tick();
-    }
-  }
-
-  void DeliverAll() {
-    size_t guard = 0;
-    while (!queue_.empty()) {
-      OPX_CHECK_LT(++guard, 1'000'000u) << "message storm";
-      Wire w = std::move(queue_.front());
-      queue_.pop_front();
-      if (IsCrashed(w.to) || IsCrashed(w.from) || !LinkUp(w.from, w.to)) {
-        continue;
-      }
-      node(w.to).Handle(w.from, std::move(w.body));
-      Collect();
-      AuditNow("deliver");
-    }
-  }
-
-  const audit::SafetyAuditor& auditor() const { return auditor_; }
-
-  void Collect() {
-    for (NodeId id = 1; id <= n_; ++id) {
-      if (IsCrashed(id)) {
-        continue;
-      }
-      for (Out& out : node(id).TakeOutgoing()) {
-        if (out.to >= 1 && out.to <= n_ && LinkUp(id, out.to) && !IsCrashed(out.to)) {
-          queue_.push_back(Wire{id, out.to, std::move(out.body)});
-        }
-      }
-    }
+  // Adds a fresh (empty-log) server, e.g. the target of a membership change.
+  // Its voter list is a placeholder (it never self-elects as a learner once
+  // contacted, and tests drive membership via the leader), and a huge
+  // election timeout keeps it from starting elections before joining.
+  NodeId AddFreshServer() {
+    const NodeId id = size() + 1;
+    raft::RaftConfig cfg = ConfigFor(base_, id, {id});
+    cfg.election_ticks = 1 << 20;
+    return AddServer(std::make_unique<raft::Raft>(cfg));
   }
 
  private:
-  struct Wire {
-    NodeId from;
-    NodeId to;
-    Message body;
-  };
-
-  std::vector<NodeId> PeersOf(NodeId id) const {
-    std::vector<NodeId> peers;
-    for (NodeId other = 1; other <= n_; ++other) {
-      if (other != id) {
-        peers.push_back(other);
-      }
-    }
-    return peers;
+  static raft::RaftConfig ConfigFor(raft::RaftConfig cfg, NodeId id, std::vector<NodeId> voters) {
+    cfg.pid = id;
+    cfg.voters = std::move(voters);
+    cfg.seed += static_cast<uint64_t>(id) * 7919;
+    return cfg;
   }
 
-  void NotifyReconnect(NodeId node_id, NodeId peer) {
-    if constexpr (requires(Node& n, NodeId p) { n.Reconnected(p); }) {
-      node(node_id).Reconnected(peer);
-    }
+  raft::RaftConfig base_;
+};
+
+// Multi-Paxos servers 1..n with default timeouts; server id's seed is
+// seed_base + id.
+class MpxCluster : public rsm::LockstepCluster<mpx::MultiPaxos> {
+ public:
+  explicit MpxCluster(int n, uint64_t seed_base = 100, obs::ObsSink* obs = nullptr)
+      : LockstepCluster(n, [=](NodeId id, std::vector<NodeId> peers, omni::Storage*, bool) {
+          mpx::MpxConfig cfg;
+          cfg.pid = id;
+          cfg.peers = std::move(peers);
+          cfg.seed = seed_base + static_cast<uint64_t>(id);
+          cfg.obs = obs;
+          return std::make_unique<mpx::MultiPaxos>(cfg);
+        }) {
+    AttachObs(obs);
   }
+};
 
-  // Runs the cross-replica safety auditor over all live nodes. Compiles away
-  // for node types that don't expose an AuditView.
-  void AuditNow(const char* label) {
-    if constexpr (requires(const Node& n) { n.Audit(); }) {
-      views_.clear();
-      for (NodeId id = 1; id <= n_; ++id) {
-        if (!IsCrashed(id)) {
-          views_.push_back(node(id).Audit());
-        }
-      }
-      audit::AuditContext ctx;
-      ctx.now = ticks_;  // lockstep "time" is the tick count
-      ctx.event_id = ++audit_events_;
-      ctx.label = label;
-      auditor_.Observe(views_, ctx);
-    }
+// VR replicas 1..n with default timeouts, each on its cluster storage;
+// server id's seed is seed_base + id.
+class VrCluster : public rsm::LockstepCluster<vr::VrReplica> {
+ public:
+  explicit VrCluster(int n, uint64_t seed_base = 300, obs::ObsSink* obs = nullptr)
+      : LockstepCluster(
+            n, [=](NodeId id, std::vector<NodeId> peers, omni::Storage* storage, bool) {
+              vr::VrReplicaConfig cfg;
+              cfg.pid = id;
+              cfg.peers = std::move(peers);
+              cfg.seed = seed_base + static_cast<uint64_t>(id);
+              cfg.obs = obs;
+              return std::make_unique<vr::VrReplica>(cfg, storage);
+            }) {
+    AttachObs(obs);
   }
-
-  size_t Checked(NodeId id) const {
-    OPX_CHECK(id >= 1 && id <= n_);
-    return static_cast<size_t>(id);
-  }
-
-  int n_;
-  Factory factory_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::deque<Wire> queue_;
-  std::set<std::pair<NodeId, NodeId>> down_links_;
-  std::set<NodeId> crashed_;
-
-  audit::SafetyAuditor auditor_;
-  std::vector<audit::AuditView> views_;
-  uint64_t audit_events_ = 0;
-  int64_t ticks_ = 0;
-  obs::ObsSink* obs_ = nullptr;
 };
 
 }  // namespace opx::testing

@@ -8,65 +8,33 @@
 namespace opx {
 namespace {
 
-using mpx::MultiPaxos;
-using Cluster = testing::LockstepCluster<MultiPaxos>;
-
-Cluster MakeCluster(int n, int timeout_ticks = 3) {
-  return Cluster(n, [timeout_ticks](NodeId id, std::vector<NodeId> peers) {
-    mpx::MpxConfig cfg;
-    cfg.pid = id;
-    cfg.peers = std::move(peers);
-    cfg.ping_timeout_ticks = timeout_ticks;
-    cfg.seed = 100 + static_cast<uint64_t>(id);
-    return std::make_unique<MultiPaxos>(cfg);
-  });
-}
-
-NodeId CurrentLeader(Cluster& cluster) {
-  NodeId best = kNoNode;
-  mpx::Ballot best_ballot;
-  for (NodeId id = 1; id <= cluster.size(); ++id) {
-    if (!cluster.IsCrashed(id) && cluster.node(id).IsLeader() &&
-        cluster.node(id).ballot() > best_ballot) {
-      best = id;
-      best_ballot = cluster.node(id).ballot();
-    }
-  }
-  return best;
-}
-
-bool Append(Cluster& cluster, NodeId id, uint64_t cmd) {
-  const bool ok = cluster.node(id).Append(mpx::Entry::Command(cmd, 8));
-  cluster.Collect();
-  cluster.DeliverAll();
-  return ok;
-}
+using testing::MpxCluster;
 
 TEST(MpxElection, ThreeServersElectOneLeader) {
-  Cluster cluster = MakeCluster(3);
+  MpxCluster cluster(3);
   cluster.TickRounds(30);
-  EXPECT_NE(CurrentLeader(cluster), kNoNode);
+  EXPECT_NE(cluster.CurrentLeader(), kNoNode);
 }
 
 TEST(MpxElection, LeaderCrashTriggersTakeover) {
-  Cluster cluster = MakeCluster(3);
+  MpxCluster cluster(3);
   cluster.TickRounds(30);
-  const NodeId old_leader = CurrentLeader(cluster);
+  const NodeId old_leader = cluster.CurrentLeader();
   ASSERT_NE(old_leader, kNoNode);
   cluster.Crash(old_leader);
   cluster.TickRounds(40);
-  const NodeId new_leader = CurrentLeader(cluster);
+  const NodeId new_leader = cluster.CurrentLeader();
   EXPECT_NE(new_leader, kNoNode);
   EXPECT_NE(new_leader, old_leader);
 }
 
 TEST(MpxReplication, AppendDecidesEverywhere) {
-  Cluster cluster = MakeCluster(3);
+  MpxCluster cluster(3);
   cluster.TickRounds(30);
-  const NodeId leader = CurrentLeader(cluster);
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
   for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
-    EXPECT_TRUE(Append(cluster, leader, cmd));
+    EXPECT_TRUE(cluster.Append(leader, cmd));
   }
   cluster.TickRounds(2);  // commit watermark propagates
   const uint64_t leader_decided = cluster.node(leader).decided_idx();
@@ -77,26 +45,26 @@ TEST(MpxReplication, AppendDecidesEverywhere) {
 }
 
 TEST(MpxReplication, FollowerRejectsAppend) {
-  Cluster cluster = MakeCluster(3);
+  MpxCluster cluster(3);
   cluster.TickRounds(30);
-  const NodeId leader = CurrentLeader(cluster);
+  const NodeId leader = cluster.CurrentLeader();
   const NodeId follower = leader == 1 ? 2 : 1;
   EXPECT_FALSE(cluster.node(follower).Append(mpx::Entry::Command(1, 8)));
 }
 
 TEST(MpxReplication, NewLeaderAdoptsAcceptedValues) {
-  Cluster cluster = MakeCluster(3);
+  MpxCluster cluster(3);
   cluster.TickRounds(30);
-  const NodeId leader = CurrentLeader(cluster);
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
   for (uint64_t cmd = 1; cmd <= 5; ++cmd) {
-    Append(cluster, leader, cmd);
+    cluster.Append(leader, cmd);
   }
   cluster.TickRounds(2);
   const uint64_t decided_before = cluster.node(leader).decided_idx();
   cluster.Crash(leader);
   cluster.TickRounds(40);
-  const NodeId new_leader = CurrentLeader(cluster);
+  const NodeId new_leader = cluster.CurrentLeader();
   ASSERT_NE(new_leader, kNoNode);
   EXPECT_GE(cluster.node(new_leader).decided_idx(), decided_before);
   // Decided prefixes agree (SC2-equivalent for Multi-Paxos).
@@ -114,9 +82,9 @@ TEST(MpxReplication, NewLeaderAdoptsAcceptedValues) {
 }
 
 TEST(MpxReplication, DisconnectedFollowerRepairsGapOnHeal) {
-  Cluster cluster = MakeCluster(3);
+  MpxCluster cluster(3);
   cluster.TickRounds(30);
-  const NodeId leader = CurrentLeader(cluster);
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
   NodeId follower = kNoNode;
   for (NodeId id = 1; id <= 3; ++id) {
@@ -127,7 +95,7 @@ TEST(MpxReplication, DisconnectedFollowerRepairsGapOnHeal) {
   }
   cluster.SetLink(leader, follower, false);
   for (uint64_t cmd = 1; cmd <= 5; ++cmd) {
-    Append(cluster, leader, cmd);
+    cluster.Append(leader, cmd);
   }
   cluster.TickRounds(1);
   EXPECT_LT(cluster.node(follower).decided_idx(), cluster.node(leader).decided_idx());
@@ -139,9 +107,9 @@ TEST(MpxReplication, DisconnectedFollowerRepairsGapOnHeal) {
 TEST(MpxPartialConnectivity, QuorumLossDeadlocks) {
   // Fig. 1a with 5 servers: everyone is connected to A only; the leader C is
   // alive but not QC. Multi-Paxos never recovers (Fig. 8a).
-  Cluster cluster = MakeCluster(5);
+  MpxCluster cluster(5);
   cluster.TickRounds(30);
-  const NodeId leader = CurrentLeader(cluster);
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
   NodeId hub = leader == 1 ? 2 : 1;  // "A": the only QC server
   // Cut every link except those incident to the hub.
@@ -170,9 +138,9 @@ TEST(MpxPartialConnectivity, QuorumLossDeadlocks) {
 TEST(MpxPartialConnectivity, ConstrainedElectionRecovers) {
   // Fig. 1b: old leader fully isolated; the hub (only QC server) takes over
   // even with an outdated log (Fig. 8b: Multi-Paxos recovers here).
-  Cluster cluster = MakeCluster(5);
+  MpxCluster cluster(5);
   cluster.TickRounds(30);
-  const NodeId leader = CurrentLeader(cluster);
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
   const NodeId hub = leader == 1 ? 2 : 1;
   cluster.Isolate(leader);
@@ -184,9 +152,9 @@ TEST(MpxPartialConnectivity, ConstrainedElectionRecovers) {
     }
   }
   cluster.TickRounds(40);
-  const NodeId new_leader = CurrentLeader(cluster);
+  const NodeId new_leader = cluster.CurrentLeader();
   EXPECT_EQ(new_leader, hub);
-  EXPECT_TRUE(Append(cluster, hub, 1234));
+  EXPECT_TRUE(cluster.Append(hub, 1234));
   cluster.TickRounds(2);
   EXPECT_GT(cluster.node(hub).decided_idx(), 0u);
 }
@@ -194,9 +162,9 @@ TEST(MpxPartialConnectivity, ConstrainedElectionRecovers) {
 TEST(MpxPartialConnectivity, ChainedScenarioLivelocks) {
   // Fig. 1c: 3 servers in a chain; the ballot gossip causes repeated leader
   // changes (Fig. 8c: Multi-Paxos has the lowest throughput).
-  Cluster cluster = MakeCluster(3);
+  MpxCluster cluster(3);
   cluster.TickRounds(30);
-  const NodeId leader = CurrentLeader(cluster);
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
   // Make `leader` an endpoint of the chain: cut leader <-> other_end.
   NodeId middle = kNoNode, other_end = kNoNode;

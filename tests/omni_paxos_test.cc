@@ -5,7 +5,7 @@
 
 #include "src/omnipaxos/omni_paxos.h"
 #include "src/rsm/experiments.h"
-#include "tests/omni_test_harness.h"
+#include "src/rsm/lockstep_cluster.h"
 
 namespace opx {
 namespace {
@@ -15,7 +15,7 @@ using omni::Entry;
 using omni::OmniConfig;
 using omni::OmniPaxos;
 using omni::Storage;
-using testing::OmniCluster;
+using rsm::OmniCluster;
 
 OmniConfig Config3(NodeId pid, uint32_t priority = 0) {
   OmniConfig cfg;
@@ -48,8 +48,7 @@ TEST(OmniPaxosUnit, LeaderEventFlowsFromBleToPaxos) {
 }
 
 TEST(OmniPaxosUnit, ReconfigurationRejectedBeforeAndAfterStop) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   omni::StopSign ss;
@@ -67,8 +66,7 @@ TEST(OmniPaxosUnit, ReconfigurationRejectedBeforeAndAfterStop) {
 }
 
 TEST(OmniPaxosUnit, UnproposedEntriesRecoverableAfterStop) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   // Queue proposals at a follower that cannot flush them (leader unknown to
@@ -89,8 +87,7 @@ TEST(OmniPaxosUnit, UnproposedEntriesRecoverableAfterStop) {
 }
 
 TEST(OmniPaxosUnit, TrimForwardsToStorage) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   for (uint64_t cmd = 1; cmd <= 5; ++cmd) {
     cluster.Append(1, cmd);
@@ -101,8 +98,7 @@ TEST(OmniPaxosUnit, TrimForwardsToStorage) {
 }
 
 TEST(OmniPaxosUnit, DecidedStopSignExposesNextConfig) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   omni::StopSign ss;
   ss.next_config = 7;

@@ -8,11 +8,10 @@
 
 #include "src/multipaxos/multipaxos.h"
 #include "src/raft/raft.h"
+#include "src/rsm/lockstep_cluster.h"
 #include "src/util/quorum.h"
 #include "src/util/rng.h"
 #include "tests/lockstep_harness.h"
-#include "tests/omni_test_harness.h"
-#include "tests/raft_test_harness.h"
 
 namespace opx {
 namespace {
@@ -28,7 +27,7 @@ class OmniChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OmniChaosTest, SequenceConsensusHolds) {
   Rng rng(GetParam());
-  testing::OmniCluster cluster(kServers);
+  rsm::OmniCluster cluster(kServers);
   cluster.TickRounds(3);
 
   std::set<uint64_t> proposed;
@@ -155,7 +154,7 @@ class OmniDurabilityTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OmniDurabilityTest, DecidedEntriesSurviveLeaderChurn) {
   Rng rng(GetParam());
-  testing::OmniCluster cluster(kServers);
+  rsm::OmniCluster cluster(kServers);
   cluster.TickRounds(3);
 
   std::vector<uint64_t> decided_snapshot;
@@ -263,14 +262,7 @@ class MpxChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MpxChaosTest, ChosenSlotsAgree) {
   Rng rng(GetParam());
-  using Cluster = testing::LockstepCluster<mpx::MultiPaxos>;
-  Cluster cluster(kServers, [&](NodeId id, std::vector<NodeId> peers) {
-    mpx::MpxConfig cfg;
-    cfg.pid = id;
-    cfg.peers = std::move(peers);
-    cfg.seed = GetParam() * 100 + static_cast<uint64_t>(id);
-    return std::make_unique<mpx::MultiPaxos>(cfg);
-  });
+  testing::MpxCluster cluster(kServers, /*seed_base=*/GetParam() * 100);
   cluster.TickRounds(30);
 
   uint64_t next_cmd = 1;

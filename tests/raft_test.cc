@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/raft/raft.h"
-#include "tests/raft_test_harness.h"
+#include "tests/lockstep_harness.h"
 
 namespace opx {
 namespace {

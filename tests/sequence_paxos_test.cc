@@ -3,14 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "src/omnipaxos/omni_paxos.h"
-#include "tests/omni_test_harness.h"
+#include "src/rsm/lockstep_cluster.h"
 
 namespace opx {
 namespace {
 
 using omni::Entry;
 using omni::kNullBallot;
-using testing::OmniCluster;
+using rsm::OmniCluster;
 
 // Checks SC2 pairwise for all live servers: one decided log must be a prefix
 // of the other.
@@ -43,8 +43,7 @@ TEST(Election, ThreeServersElectOneLeader) {
 }
 
 TEST(Election, HighestPriorityWinsFirstElection) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(2, 10);
+  OmniCluster cluster(3, /*preferred=*/2);
   cluster.TickRounds(3);
   EXPECT_EQ(cluster.CurrentLeader(), 2);
 }
@@ -123,8 +122,7 @@ TEST(Replication, FollowerForwardsProposalsToLeader) {
 }
 
 TEST(Replication, MinorityPartitionDoesNotDecide) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   // Cut the leader off from both followers: it keeps its role until BLE
@@ -135,8 +133,7 @@ TEST(Replication, MinorityPartitionDoesNotDecide) {
 }
 
 TEST(Replication, MajorityDecidesDespiteOneDisconnectedFollower) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   cluster.SetLink(1, 3, false);
@@ -154,8 +151,7 @@ TEST(Replication, MajorityDecidesDespiteOneDisconnectedFollower) {
 }
 
 TEST(Replication, NewLeaderAdoptsDecidedEntries) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   for (uint64_t cmd = 1; cmd <= 3; ++cmd) {
@@ -174,8 +170,7 @@ TEST(Replication, NewLeaderAdoptsDecidedEntries) {
 TEST(Replication, UnchosenEntriesAreOverwritten) {
   // Fig. 3a: entries accepted only by a minority in an old round are
   // overwritten by the new leader's log.
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   cluster.Append(1, 1);
@@ -201,8 +196,7 @@ TEST(Replication, UnchosenEntriesAreOverwritten) {
 }
 
 TEST(Recovery, RestartedServerCatchesUp) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   cluster.Append(1, 1);
@@ -232,8 +226,7 @@ TEST(Recovery, RecoveringServerIgnoresNonPrepareMessages) {
 }
 
 TEST(StopSign, DecidedStopSignStopsConfiguration) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   cluster.Append(1, 1);
@@ -254,8 +247,7 @@ TEST(StopSign, DecidedStopSignStopsConfiguration) {
 }
 
 TEST(StopSign, SecondReconfigurationProposalRejected) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   omni::StopSign ss;
   ss.next_config = 1;

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -27,11 +26,10 @@
 #include "src/obs/trace_view.h"
 #include "src/rsm/chaos.h"
 #include "src/rsm/cluster_sim.h"
+#include "src/rsm/lockstep_cluster.h"
 #include "src/rsm/omni_reconfig_sim.h"
 #include "src/vr/vr_replica.h"
 #include "tests/lockstep_harness.h"
-#include "tests/omni_test_harness.h"
-#include "tests/raft_test_harness.h"
 #include "tests/trace_oracle_harness.h"
 
 namespace opx {
@@ -40,10 +38,10 @@ namespace {
 using obs::EventKind;
 using obs::ObsSink;
 using obs::TraceView;
+using rsm::OmniCluster;
 using testing::ElectionWithin;
 using testing::LeaderUndisturbedAfter;
 using testing::NoAcceptBeforePromiseQuorum;
-using testing::OmniCluster;
 using testing::PropertyResult;
 using testing::RaftCluster;
 using testing::SingleLeaderPerEpoch;
@@ -61,8 +59,7 @@ using testing::SingleLeaderPerEpoch;
 TEST(TraceOracleOmni, AcceptDecideRequiresPromiseQuorum) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  OmniCluster cluster(3, /*batch_limit=*/0, &sink);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1, /*trim_watermark=*/0, &sink);
   cluster.TickRounds(10);
   const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
@@ -83,8 +80,7 @@ TEST(TraceOracleOmni, AcceptDecideRequiresPromiseQuorum) {
 TEST(TraceOracleOmni, ReElectionAfterLeaderIsolationWithinBound) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  OmniCluster cluster(5, /*batch_limit=*/0, &sink);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(5, /*preferred=*/1, /*trim_watermark=*/0, &sink);
   cluster.TickRounds(10);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
 
@@ -203,16 +199,7 @@ TEST(TraceOracleRaftPlain, PartialPartitionDisturbsLeaderWithoutPvCq) {
 TEST(TraceOracleMpx, BallotHasAtMostOneLeaderAcrossTakeover) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  using Cluster = testing::LockstepCluster<mpx::MultiPaxos>;
-  Cluster cluster(3, [&sink](NodeId id, std::vector<NodeId> peers) {
-    mpx::MpxConfig cfg;
-    cfg.pid = id;
-    cfg.peers = std::move(peers);
-    cfg.seed = 100 + static_cast<uint64_t>(id);
-    cfg.obs = &sink;
-    return std::make_unique<mpx::MultiPaxos>(cfg);
-  });
-  cluster.AttachObs(&sink);
+  testing::MpxCluster cluster(3, /*seed_base=*/100, &sink);
   cluster.TickRounds(30);
 
   NodeId leader = kNoNode;
@@ -240,21 +227,7 @@ TEST(TraceOracleMpx, BallotHasAtMostOneLeaderAcrossTakeover) {
 TEST(TraceOracleVr, ViewHasAtMostOneLeaderAcrossViewChange) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  using Cluster = testing::LockstepCluster<vr::VrReplica>;
-  std::vector<std::unique_ptr<omni::Storage>> storages;
-  storages.resize(4);
-  for (int i = 1; i <= 3; ++i) {
-    storages[static_cast<size_t>(i)] = std::make_unique<omni::Storage>();
-  }
-  Cluster cluster(3, [&sink, &storages](NodeId id, std::vector<NodeId> peers) {
-    vr::VrReplicaConfig cfg;
-    cfg.pid = id;
-    cfg.peers = std::move(peers);
-    cfg.seed = 300 + static_cast<uint64_t>(id);
-    cfg.obs = &sink;
-    return std::make_unique<vr::VrReplica>(cfg, storages[static_cast<size_t>(id)].get());
-  });
-  cluster.AttachObs(&sink);
+  testing::VrCluster cluster(3, /*seed_base=*/300, &sink);
   cluster.TickRounds(3);
   ASSERT_TRUE(cluster.node(1).IsLeader());
 
@@ -307,8 +280,7 @@ TEST(TraceOracleCluster, OmniElectsWithinFourTimeoutsOfLeaderIsolation) {
 TEST(TraceOracleOmni, AutoTrimAndSnapshotResyncUpholdSnapshotSafety) {
   OPX_REQUIRE_OBS();
   ObsSink sink;
-  OmniCluster cluster(3, /*batch_limit=*/0, &sink, /*trim_watermark=*/4);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1, /*trim_watermark=*/4, &sink);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   // A straggler that reconnects below the leader's compaction boundary

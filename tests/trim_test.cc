@@ -4,14 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "src/omnipaxos/omni_paxos.h"
-#include "tests/omni_test_harness.h"
+#include "src/rsm/lockstep_cluster.h"
 
 namespace opx {
 namespace {
 
 using omni::Entry;
 using omni::Storage;
-using testing::OmniCluster;
+using rsm::OmniCluster;
 
 TEST(Trim, StorageDropsPrefixAndKeepsIndexing) {
   Storage storage;
@@ -82,8 +82,7 @@ TEST(Trim, ResetToSnapshotInstallsBoundary) {
 // --- Protocol-level snapshot synchronization. -------------------------------
 
 TEST(TrimSync, TrimmedLeaderSnapshotsLaggingFollower) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   // Follower 3 misses entries 1..10.
@@ -111,8 +110,7 @@ TEST(TrimSync, TrimmedLeaderSnapshotsLaggingFollower) {
 }
 
 TEST(TrimSync, TrimmedFollowerPromisesWithSnapshot) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
@@ -137,8 +135,7 @@ TEST(TrimSync, TrimmedFollowerPromisesWithSnapshot) {
 }
 
 TEST(TrimSync, MixedTrimsDoNotBreakConvergence) {
-  OmniCluster cluster(5);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(5, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   uint64_t next_cmd = 1;
@@ -171,8 +168,7 @@ TEST(TrimSync, MixedTrimsDoNotBreakConvergence) {
 TEST(TrimSync, DurableTrimSurvivesThroughSnapshotResync) {
   // Trim + crash + recover: a recovering trimmed server rejoins via the
   // standard PrepareReq path and serves from its compaction boundary.
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   for (uint64_t cmd = 1; cmd <= 6; ++cmd) {
     cluster.Append(1, cmd);
@@ -190,8 +186,7 @@ TEST(TrimSync, DurableTrimSurvivesThroughSnapshotResync) {
 // --- Leader-driven auto-trim (trim_watermark > 0) ------------------------
 
 TEST(AutoTrim, DisabledByDefault) {
-  OmniCluster cluster(3);  // trim_watermark = 0
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);  // trim_watermark = 0
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   for (uint64_t cmd = 1; cmd <= 50; ++cmd) {
@@ -204,9 +199,7 @@ TEST(AutoTrim, DisabledByDefault) {
 }
 
 TEST(AutoTrim, LeaderTrimsReplicatedPrefixOnTick) {
-  OmniCluster cluster(3, /*batch_limit=*/0, /*obs=*/nullptr,
-                      /*trim_watermark=*/4);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1, /*trim_watermark=*/4);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
@@ -230,9 +223,7 @@ TEST(AutoTrim, LeaderTrimsReplicatedPrefixOnTick) {
 }
 
 TEST(AutoTrim, StragglerFloorBoundsRetainedSuffixAndResyncsViaSnapshot) {
-  OmniCluster cluster(3, /*batch_limit=*/0, /*obs=*/nullptr,
-                      /*trim_watermark=*/4);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1, /*trim_watermark=*/4);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   // Node 3 goes dark with accepted index 0.
@@ -269,8 +260,7 @@ TEST(AutoTrim, StragglerFloorBoundsRetainedSuffixAndResyncsViaSnapshot) {
 // --- Leader-lease local reads --------------------------------------------
 
 TEST(LeaseRead, LeaderServesUntilIsolationExpiresLease) {
-  OmniCluster cluster(3);
-  cluster.SetPriority(1, 10);
+  OmniCluster cluster(3, /*preferred=*/1);
   cluster.TickRounds(3);
   ASSERT_EQ(cluster.CurrentLeader(), 1);
   EXPECT_TRUE(cluster.node(1).CanServeLocalReads());

@@ -3,8 +3,6 @@
 // cluster must recover once fully healed.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "src/util/rng.h"
 #include "src/vr/vr_replica.h"
 #include "tests/lockstep_harness.h"
@@ -18,18 +16,7 @@ class VrChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(VrChaosTest, DecidedPrefixesAgree) {
   Rng rng(GetParam());
-  std::vector<std::unique_ptr<omni::Storage>> storages(kServers + 1);
-  for (int i = 1; i <= kServers; ++i) {
-    storages[static_cast<size_t>(i)] = std::make_unique<omni::Storage>();
-  }
-  using Cluster = testing::LockstepCluster<vr::VrReplica>;
-  Cluster cluster(kServers, [&](NodeId id, std::vector<NodeId> peers) {
-    vr::VrReplicaConfig cfg;
-    cfg.pid = id;
-    cfg.peers = std::move(peers);
-    cfg.seed = GetParam() * 10 + static_cast<uint64_t>(id);
-    return std::make_unique<vr::VrReplica>(cfg, storages[static_cast<size_t>(id)].get());
-  });
+  testing::VrCluster cluster(kServers, /*seed_base=*/GetParam() * 10);
   cluster.TickRounds(5);
 
   uint64_t next_cmd = 1;
@@ -61,8 +48,7 @@ TEST_P(VrChaosTest, DecidedPrefixesAgree) {
         const LogIndex common = std::min(cluster.node(a).decided_idx(),
                                          cluster.node(b).decided_idx());
         for (LogIndex i = 0; i < common; ++i) {
-          ASSERT_EQ(storages[static_cast<size_t>(a)]->At(i),
-                    storages[static_cast<size_t>(b)]->At(i))
+          ASSERT_EQ(cluster.storage(a).At(i), cluster.storage(b).At(i))
               << "divergence at " << i << " (seed " << GetParam() << ", round "
               << round << ")";
         }
@@ -79,9 +65,7 @@ TEST_P(VrChaosTest, DecidedPrefixesAgree) {
   }
   ASSERT_NE(leader, kNoNode) << "seed " << GetParam();
   const LogIndex before = cluster.node(leader).decided_idx();
-  cluster.node(leader).Append(omni::Entry::Command(next_cmd++, 8));
-  cluster.Collect();
-  cluster.DeliverAll();
+  cluster.Append(leader, next_cmd++);
   EXPECT_GT(cluster.node(leader).decided_idx(), before);
 }
 

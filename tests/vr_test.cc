@@ -3,177 +3,129 @@
 // constrained-election, recovery in the chained scenario).
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "src/vr/vr_replica.h"
 #include "tests/lockstep_harness.h"
 
 namespace opx {
 namespace {
 
-using vr::VrReplica;
-using Cluster = testing::LockstepCluster<VrReplica>;
-
-struct VrFixture {
-  std::vector<std::unique_ptr<omni::Storage>> storages;
-  std::unique_ptr<Cluster> cluster;
-};
-
-VrFixture MakeCluster(int n, int timeout_ticks = 3) {
-  VrFixture fx;
-  fx.storages.resize(static_cast<size_t>(n) + 1);
-  for (int i = 1; i <= n; ++i) {
-    fx.storages[static_cast<size_t>(i)] = std::make_unique<omni::Storage>();
-  }
-  auto* storages = &fx.storages;
-  fx.cluster = std::make_unique<Cluster>(
-      n, [storages, timeout_ticks](NodeId id, std::vector<NodeId> peers) {
-        vr::VrReplicaConfig cfg;
-        cfg.pid = id;
-        cfg.peers = std::move(peers);
-        cfg.timeout_ticks = timeout_ticks;
-        cfg.seed = 300 + static_cast<uint64_t>(id);
-        return std::make_unique<VrReplica>(cfg, (*storages)[static_cast<size_t>(id)].get());
-      });
-  return fx;
-}
-
-NodeId CurrentLeader(Cluster& cluster) {
-  NodeId best = kNoNode;
-  uint64_t best_view = 0;
-  for (NodeId id = 1; id <= cluster.size(); ++id) {
-    if (!cluster.IsCrashed(id) && cluster.node(id).IsLeader() &&
-        cluster.node(id).election().view() + 1 > best_view) {
-      best = id;
-      best_view = cluster.node(id).election().view() + 1;
-    }
-  }
-  return best;
-}
-
-bool Append(Cluster& cluster, NodeId id, uint64_t cmd) {
-  const bool ok = cluster.node(id).Append(omni::Entry::Command(cmd, 8));
-  cluster.Collect();
-  cluster.DeliverAll();
-  return ok;
-}
+using testing::VrCluster;
 
 TEST(VrElection, InitialViewZeroPrimaryLeads) {
-  VrFixture fx = MakeCluster(3);
-  fx.cluster->TickRounds(3);
+  VrCluster cluster(3);
+  cluster.TickRounds(3);
   // View 0's primary is the lowest node id (round-robin over sorted ids).
-  EXPECT_EQ(CurrentLeader(*fx.cluster), 1);
+  EXPECT_EQ(cluster.CurrentLeader(), 1);
 }
 
 TEST(VrElection, PrimaryCrashAdvancesToNextView) {
-  VrFixture fx = MakeCluster(3);
-  fx.cluster->TickRounds(3);
-  ASSERT_EQ(CurrentLeader(*fx.cluster), 1);
-  fx.cluster->Crash(1);
-  fx.cluster->TickRounds(30);
-  const NodeId new_leader = CurrentLeader(*fx.cluster);
+  VrCluster cluster(3);
+  cluster.TickRounds(3);
+  ASSERT_EQ(cluster.CurrentLeader(), 1);
+  cluster.Crash(1);
+  cluster.TickRounds(30);
+  const NodeId new_leader = cluster.CurrentLeader();
   EXPECT_EQ(new_leader, 2);  // next in round-robin order
 }
 
 TEST(VrElection, SkipsUnreachablePrimaries) {
-  VrFixture fx = MakeCluster(5);
-  fx.cluster->TickRounds(3);
-  ASSERT_EQ(CurrentLeader(*fx.cluster), 1);
-  fx.cluster->Crash(1);
-  fx.cluster->Crash(2);
-  fx.cluster->Crash(3);
+  VrCluster doomed(5);
+  doomed.TickRounds(3);
+  ASSERT_EQ(doomed.CurrentLeader(), 1);
+  doomed.Crash(1);
+  doomed.Crash(2);
+  doomed.Crash(3);
   // Views 1 and 2 target crashed servers; their view changes stall and time
   // out until view 3 reaches server 4. Majority is still alive? No — only 2
   // of 5 alive, so no view change can complete. Restore one server's worth of
   // quorum by only crashing two.
-  fx.cluster = nullptr;  // rebuild below
-  fx = MakeCluster(5);
-  fx.cluster->TickRounds(3);
-  ASSERT_EQ(CurrentLeader(*fx.cluster), 1);
-  fx.cluster->Crash(1);
-  fx.cluster->Crash(2);
-  fx.cluster->TickRounds(80);
-  const NodeId new_leader = CurrentLeader(*fx.cluster);
+  VrCluster cluster(5);
+  cluster.TickRounds(3);
+  ASSERT_EQ(cluster.CurrentLeader(), 1);
+  cluster.Crash(1);
+  cluster.Crash(2);
+  cluster.TickRounds(80);
+  const NodeId new_leader = cluster.CurrentLeader();
   EXPECT_TRUE(new_leader == 3 || new_leader == 4 || new_leader == 5);
   EXPECT_NE(new_leader, kNoNode);
 }
 
 TEST(VrReplication, AppendDecidesEverywhere) {
-  VrFixture fx = MakeCluster(3);
-  fx.cluster->TickRounds(3);
-  const NodeId leader = CurrentLeader(*fx.cluster);
+  VrCluster cluster(3);
+  cluster.TickRounds(3);
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_NE(leader, kNoNode);
   for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
-    EXPECT_TRUE(Append(*fx.cluster, leader, cmd));
+    EXPECT_TRUE(cluster.Append(leader, cmd));
   }
   for (NodeId id = 1; id <= 3; ++id) {
-    EXPECT_EQ(fx.cluster->node(id).decided_idx(), 10u) << "server " << id;
+    EXPECT_EQ(cluster.node(id).decided_idx(), 10u) << "server " << id;
   }
 }
 
 TEST(VrPartialConnectivity, QuorumLossDeadlocks) {
   // Only one QC server exists; no server can be EQC, so no view change ever
   // completes (Fig. 8a: VR deadlock).
-  VrFixture fx = MakeCluster(5);
-  fx.cluster->TickRounds(3);
-  const NodeId leader = CurrentLeader(*fx.cluster);
+  VrCluster cluster(5);
+  cluster.TickRounds(3);
+  const NodeId leader = cluster.CurrentLeader();
   ASSERT_EQ(leader, 1);
   const NodeId hub = 2;
   for (NodeId a = 1; a <= 5; ++a) {
     for (NodeId b = a + 1; b <= 5; ++b) {
       if (a != hub && b != hub) {
-        fx.cluster->SetLink(a, b, false);
+        cluster.SetLink(a, b, false);
       }
     }
   }
-  fx.cluster->TickRounds(100);
+  cluster.TickRounds(100);
   // The old leader keeps its role but cannot commit; nobody else completes a
   // view change.
-  EXPECT_TRUE(Append(*fx.cluster, 1, 777));
-  fx.cluster->TickRounds(5);
-  EXPECT_EQ(fx.cluster->node(1).decided_idx(), 0u);
+  EXPECT_TRUE(cluster.Append(1, 777));
+  cluster.TickRounds(5);
+  EXPECT_EQ(cluster.node(1).decided_idx(), 0u);
   for (NodeId id = 2; id <= 5; ++id) {
-    EXPECT_FALSE(fx.cluster->node(id).IsLeader()) << "server " << id;
+    EXPECT_FALSE(cluster.node(id).IsLeader()) << "server " << id;
   }
 }
 
 TEST(VrPartialConnectivity, ConstrainedElectionDeadlocks) {
   // The only QC server (hub) cannot gather DoViewChange votes because no
   // other server is quorum-connected (EQC fails) — VR deadlocks (Fig. 8b).
-  VrFixture fx = MakeCluster(5);
-  fx.cluster->TickRounds(3);
-  ASSERT_EQ(CurrentLeader(*fx.cluster), 1);
+  VrCluster cluster(5);
+  cluster.TickRounds(3);
+  ASSERT_EQ(cluster.CurrentLeader(), 1);
   const NodeId hub = 2;
-  fx.cluster->Isolate(1);  // old leader fully partitioned
+  cluster.Isolate(1);  // old leader fully partitioned
   for (NodeId a = 2; a <= 5; ++a) {
     for (NodeId b = a + 1; b <= 5; ++b) {
       if (a != hub && b != hub) {
-        fx.cluster->SetLink(a, b, false);
+        cluster.SetLink(a, b, false);
       }
     }
   }
-  fx.cluster->TickRounds(100);
+  cluster.TickRounds(100);
   for (NodeId id = 2; id <= 5; ++id) {
-    EXPECT_FALSE(fx.cluster->node(id).IsLeader()) << "server " << id;
+    EXPECT_FALSE(cluster.node(id).IsLeader()) << "server " << id;
   }
 }
 
 TEST(VrPartialConnectivity, ChainedScenarioRecovers) {
   // 3 servers in a chain recover: round-robin eventually reaches a reachable
   // primary (possibly changing leader twice — §7.2).
-  VrFixture fx = MakeCluster(3);
-  fx.cluster->TickRounds(3);
-  ASSERT_EQ(CurrentLeader(*fx.cluster), 1);
+  VrCluster cluster(3);
+  cluster.TickRounds(3);
+  ASSERT_EQ(cluster.CurrentLeader(), 1);
   // Chain: 2 — 1 — 3 is wrong; leader must be an endpoint. Cut 1<->3 so the
   // chain is 1 — 2 — 3 with leader 1 an endpoint.
-  fx.cluster->SetLink(1, 3, false);
-  fx.cluster->TickRounds(60);
-  const NodeId new_leader = CurrentLeader(*fx.cluster);
+  cluster.SetLink(1, 3, false);
+  cluster.TickRounds(60);
+  const NodeId new_leader = cluster.CurrentLeader();
   ASSERT_NE(new_leader, kNoNode);
   // The cluster must make progress again.
-  EXPECT_TRUE(Append(*fx.cluster, new_leader, 42));
-  fx.cluster->TickRounds(5);
-  EXPECT_GT(fx.cluster->node(new_leader).decided_idx(), 0u);
+  EXPECT_TRUE(cluster.Append(new_leader, 42));
+  cluster.TickRounds(5);
+  EXPECT_GT(cluster.node(new_leader).decided_idx(), 0u);
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ AnalyzerConfig DefaultConfig(const std::string& root) {
   // --- opx-audit-hook -----------------------------------------------------
   // Each protocol implementation must expose the AuditView snapshot the
   // cross-replica auditor consumes and keep OPX_CHECK-layer assertions live;
-  // the simulated harness must actually run the auditor.
+  // the simulated and lockstep harnesses must actually run the auditor.
   cfg.audit = {
       {"src/omnipaxos/omni_paxos.cc", {"Audit", "AuditView"}, false},
       {"src/omnipaxos/sequence_paxos.cc", {}, true},
@@ -88,6 +88,7 @@ AnalyzerConfig DefaultConfig(const std::string& root) {
       {"src/multipaxos/multipaxos.cc", {"Audit", "AuditView"}, true},
       {"src/vr/vr_replica.h", {"Audit", "AuditView"}, false},
       {"src/rsm/cluster_sim.h", {"SafetyAuditor", "Audit"}, false},
+      {"src/rsm/lockstep_cluster.h", {"SafetyAuditor", "Audit", "Observe"}, false},
   };
 
   // --- opx-obs-hook -------------------------------------------------------
@@ -104,6 +105,8 @@ AnalyzerConfig DefaultConfig(const std::string& root) {
       {"src/sim/network.h", {"OPX_TRACE", "ObsSink"}},
       {"src/rsm/cluster_sim.h", {"OPX_TRACE", "ObsSink"}},
       {"src/rsm/omni_reconfig_sim.h", {"OPX_TRACE", "ObsSink"}},
+      // The lockstep engine only stamps time; its nodes record the events.
+      {"src/rsm/lockstep_cluster.h", {"OPX_TRACE_NOW", "ObsSink"}},
   };
 
   // --- opx-ballot-guard ---------------------------------------------------
