@@ -8,16 +8,32 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <limits>
 
 #include "src/util/check.h"
 #include "src/util/logging.h"
 
 namespace opx::net {
 namespace {
+
+// A decimal number no larger than `max`, with no sign, space or trailing
+// character.
+bool ParseDecimal(std::string_view text, uint64_t max, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 Time MonotonicNow() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -35,6 +51,70 @@ void SetNoDelay(int fd) {
 constexpr size_t kMaxIov = 64;
 
 }  // namespace
+
+bool ParsePort(std::string_view text, uint16_t* port) {
+  uint64_t value = 0;
+  if (!ParseDecimal(text, std::numeric_limits<uint16_t>::max(), &value)) {
+    return false;
+  }
+  *port = static_cast<uint16_t>(value);
+  return true;
+}
+
+bool ParseEndpoints(std::string_view spec, std::map<NodeId, Endpoint>* out) {
+  std::map<NodeId, Endpoint> parsed;
+  size_t pos = 0;
+  for (;;) {
+    const size_t comma = std::min(spec.find(',', pos), spec.size());
+    const std::string_view item = spec.substr(pos, comma - pos);
+    const size_t eq = item.find('=');
+    const size_t colon = item.rfind(':');
+    uint64_t id = 0;
+    Endpoint endpoint;
+    if (eq == std::string_view::npos || colon == std::string_view::npos || colon < eq ||
+        !ParseDecimal(item.substr(0, eq), std::numeric_limits<NodeId>::max(), &id) ||
+        id == kNoNode || !ParsePort(item.substr(colon + 1), &endpoint.port) ||
+        endpoint.port == 0) {
+      return false;
+    }
+    endpoint.host = item.substr(eq + 1, colon - eq - 1);
+    if (endpoint.host.empty() ||
+        !parsed.emplace(static_cast<NodeId>(id), std::move(endpoint)).second) {
+      return false;
+    }
+    if (comma == spec.size()) {
+      break;
+    }
+    pos = comma + 1;
+  }
+  *out = std::move(parsed);
+  return true;
+}
+
+std::vector<uint16_t> FreePorts(int n) {
+  std::vector<int> fds;
+  std::vector<uint16_t> ports;
+  for (int i = 0; i < n; ++i) {
+    const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) {
+      break;
+    }
+    fds.push_back(fd);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      break;
+    }
+    ports.push_back(ntohs(addr.sin_port));
+  }
+  for (int fd : fds) {
+    close(fd);
+  }
+  return ports;
+}
 
 // One TCP connection (inbound or outbound). Outbound frames live in a
 // FrameQueue of refcounted encoded buffers (shared across peers for

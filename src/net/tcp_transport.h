@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +49,23 @@ struct Endpoint {
   std::string host;
   uint16_t port = 0;
 };
+
+// Parses a port number: decimal digits only, 0-65535 (0 lets the kernel pick
+// a listening port). False on anything else.
+bool ParsePort(std::string_view text, uint16_t* port);
+
+// Parses "ID=HOST:PORT,ID=HOST:PORT,..." (the --peers and --servers flags).
+// Rejects the whole list, leaving `out` untouched, if any item lacks its `=`
+// or `:`, has an id or port that is not all digits, an id of 0 (kNoNode) or
+// beyond NodeId's range, a port outside 1-65535, an empty host, or an id
+// given twice.
+bool ParseEndpoints(std::string_view spec, std::map<NodeId, Endpoint>* out);
+
+// Asks the kernel for `n` distinct free loopback ports by binding port 0.
+// All probe sockets stay bound until every port is known, so the n ports
+// differ from each other. Another process can still take a port between the
+// probe and the caller's own bind; callers retry on a failed bind.
+std::vector<uint16_t> FreePorts(int n);
 
 // Hello kinds (first byte of the first frame).
 constexpr uint8_t kHelloPeer = 0xFE;

@@ -1,6 +1,8 @@
-// Tests for the minimal flag parser used by the CLI tools.
+// Tests for the command-line parsing of the CLI tools: the flag parser, and
+// the --port and ID=HOST:PORT,... parsers of omni_node and omni_client.
 #include <gtest/gtest.h>
 
+#include "src/net/tcp_transport.h"
 #include "src/util/flags.h"
 
 namespace opx {
@@ -57,6 +59,72 @@ TEST(Flags, BooleanFollowedByFlagNotConsumed) {
   EXPECT_TRUE(flags.GetBool("quick", false));
   EXPECT_EQ(flags.GetInt("count", 0), 3);
 }
+
+// Whether ParseEndpoints accepts `spec`; a rejected list must leave the
+// output as it was.
+bool ParsesEndpoints(const std::string& spec) {
+  std::map<NodeId, net::Endpoint> out{{9, net::Endpoint{"keep", 9}}};
+  const bool ok = net::ParseEndpoints(spec, &out);
+  EXPECT_TRUE(ok || (out.size() == 1 && out[9].host == "keep")) << spec << " changed the output";
+  return ok;
+}
+
+bool ParsesPort(const std::string& text) {
+  uint16_t port = 0;
+  return net::ParsePort(text, &port);
+}
+
+TEST(ParseEndpoints, ReadsEveryEntry) {
+  std::map<NodeId, net::Endpoint> out;
+  ASSERT_TRUE(net::ParseEndpoints("2=127.0.0.1:7002,3=host-3:65535,2147483647=h:1", &out));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2].host, "127.0.0.1");
+  EXPECT_EQ(out[2].port, 7002);
+  EXPECT_EQ(out[3].host, "host-3");
+  EXPECT_EQ(out[3].port, 65535);
+  EXPECT_EQ(out[2147483647].port, 1);
+}
+
+TEST(ParseEndpoints, RejectsAnEmptyList) { EXPECT_FALSE(ParsesEndpoints("")); }
+TEST(ParseEndpoints, RejectsAMissingEquals) { EXPECT_FALSE(ParsesEndpoints("2127.0.0.1:7002")); }
+TEST(ParseEndpoints, RejectsAMissingColon) { EXPECT_FALSE(ParsesEndpoints("2=127.0.0.1")); }
+TEST(ParseEndpoints, RejectsANonNumericId) { EXPECT_FALSE(ParsesEndpoints("x=127.0.0.1:7002")); }
+TEST(ParseEndpoints, RejectsAnIdWithTrailingCharacters) {
+  EXPECT_FALSE(ParsesEndpoints("2x=127.0.0.1:7002"));
+}
+TEST(ParseEndpoints, RejectsANegativeId) { EXPECT_FALSE(ParsesEndpoints("-2=127.0.0.1:7002")); }
+TEST(ParseEndpoints, RejectsIdZero) { EXPECT_FALSE(ParsesEndpoints("0=127.0.0.1:7002")); }
+TEST(ParseEndpoints, RejectsAnIdAboveInt32) {
+  EXPECT_FALSE(ParsesEndpoints("2147483648=127.0.0.1:7002"));
+  EXPECT_FALSE(ParsesEndpoints("99999999999=127.0.0.1:7002"));
+}
+TEST(ParseEndpoints, RejectsANonNumericPort) {
+  EXPECT_FALSE(ParsesEndpoints("2=127.0.0.1:7002,3=127.0.0.1:x"));
+}
+TEST(ParseEndpoints, RejectsAPortWithTrailingCharacters) {
+  EXPECT_FALSE(ParsesEndpoints("2=127.0.0.1:7002x"));
+}
+TEST(ParseEndpoints, RejectsPortZero) { EXPECT_FALSE(ParsesEndpoints("2=127.0.0.1:0")); }
+TEST(ParseEndpoints, RejectsAPortAbove65535) { EXPECT_FALSE(ParsesEndpoints("2=127.0.0.1:70000")); }
+TEST(ParseEndpoints, RejectsAnEmptyHost) { EXPECT_FALSE(ParsesEndpoints("2=:7002")); }
+TEST(ParseEndpoints, RejectsADuplicateId) {
+  EXPECT_FALSE(ParsesEndpoints("2=127.0.0.1:7002,2=127.0.0.1:7003"));
+}
+TEST(ParseEndpoints, RejectsAnEmptyItem) { EXPECT_FALSE(ParsesEndpoints("2=127.0.0.1:7002,")); }
+
+TEST(ParsePort, AcceptsZeroThroughMax) {
+  uint16_t port = 1;
+  ASSERT_TRUE(net::ParsePort("0", &port));
+  EXPECT_EQ(port, 0);
+  ASSERT_TRUE(net::ParsePort("65535", &port));
+  EXPECT_EQ(port, 65535);
+}
+
+TEST(ParsePort, RejectsANonNumericPort) { EXPECT_FALSE(ParsesPort("x")); }
+TEST(ParsePort, RejectsAPortWithTrailingCharacters) { EXPECT_FALSE(ParsesPort("7001x")); }
+TEST(ParsePort, RejectsAPortAbove65535) { EXPECT_FALSE(ParsesPort("70000")); }
+TEST(ParsePort, RejectsANegativePort) { EXPECT_FALSE(ParsesPort("-1")); }
+TEST(ParsePort, RejectsAnEmptyPort) { EXPECT_FALSE(ParsesPort("")); }
 
 }  // namespace
 }  // namespace opx

@@ -612,26 +612,32 @@ TEST(TcpFlushHook, FrameQueuedEarlierInTheSameDispatchWaitsForTheHook) {
 
 // --- 64-connection multiplexing against a real loopback cluster -----------
 
+// Every socket, epoll set and timer fd that the cluster and its clients
+// opened is closed again once they are gone.
 TEST(TcpManyClients, SixtyFourConcurrentConnectionsReplicate) {
-  testing::TcpCluster cluster;
-  constexpr int kClients = 64;
-  // All 64 clients connect and STAY connected — the servers' transports
-  // multiplex every socket in one epoll set — then each appends twice.
-  std::vector<std::unique_ptr<OmniClient>> clients;
-  for (int i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<OmniClient>(cluster.endpoints()));
-    ASSERT_TRUE(clients.back()->Connect(Seconds(10))) << "client " << i;
-  }
-  for (int round = 0; round < 2; ++round) {
+  const int fds_before = testing::OpenFds();
+  {
+    testing::TcpCluster cluster;
+    constexpr int kClients = 64;
+    // All 64 clients connect and STAY connected — the servers' transports
+    // multiplex every socket in one epoll set — then each appends twice.
+    std::vector<std::unique_ptr<OmniClient>> clients;
     for (int i = 0; i < kClients; ++i) {
-      const uint64_t cmd = static_cast<uint64_t>(round * kClients + i + 1);
-      ASSERT_TRUE(clients[i]->AppendAndWait(cmd, 8, Seconds(10)))
-          << "client " << i << " round " << round;
+      clients.push_back(std::make_unique<OmniClient>(cluster.endpoints()));
+      ASSERT_TRUE(clients.back()->Connect(Seconds(10))) << "client " << i;
     }
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 0; i < kClients; ++i) {
+        const uint64_t cmd = static_cast<uint64_t>(round * kClients + i + 1);
+        ASSERT_TRUE(clients[i]->AppendAndWait(cmd, 8, Seconds(10)))
+            << "client " << i << " round " << round;
+      }
+    }
+    OmniClient::Status status;
+    ASSERT_TRUE(clients[0]->GetStatus(&status, Seconds(5)));
+    EXPECT_GE(status.decided, static_cast<uint64_t>(2 * kClients));
   }
-  OmniClient::Status status;
-  ASSERT_TRUE(clients[0]->GetStatus(&status, Seconds(5)));
-  EXPECT_GE(status.decided, static_cast<uint64_t>(2 * kClients));
+  EXPECT_EQ(testing::OpenFds(), fds_before) << "fds leaked across cluster start and teardown";
 }
 
 // --- Client hardening against a hostile frame header ----------------------

@@ -1,18 +1,12 @@
 // A three-server OmniTcpServer cluster on localhost for the TCP tests, each
 // server running on its own thread.
 //
-// Ports come from the kernel: FreePorts binds port 0 and reads the port
-// back, so tests running in parallel under `ctest -j` never pick the same
-// ones. Another process can still take a port between that probe and the
-// server's own bind; the server's Start() then fails and the whole cluster
-// start is retried on fresh ports.
+// Ports come from the kernel (net::FreePorts), so tests running in parallel
+// under `ctest -j` never pick the same ones. Another process can still take
+// a port between that probe and the server's own bind; the server's Start()
+// then fails and the whole cluster start is retried on fresh ports.
 #ifndef TESTS_TCP_CLUSTER_H_
 #define TESTS_TCP_CLUSTER_H_
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -30,37 +24,25 @@
 
 namespace opx::testing {
 
-// Asks the kernel for `n` distinct free ports. All probe sockets stay bound
-// until every port is known, so the n ports differ from each other.
-inline std::vector<uint16_t> FreePorts(int n) {
-  std::vector<int> fds;
-  std::vector<uint16_t> ports;
-  for (int i = 0; i < n; ++i) {
-    const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      break;
-    }
-    fds.push_back(fd);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    socklen_t len = sizeof(addr);
-    if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-      break;
-    }
-    ports.push_back(ntohs(addr.sin_port));
+// The number of file descriptors this process has open: the entries of
+// /proc/self/fd (the directory stream's own descriptor is in every count, so
+// two counts compare exactly). Tests in one process run one at a time, so
+// counts taken before a test's cluster starts and after it is gone differ
+// only by what that cluster and its clients leaked.
+inline int OpenFds() {
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
   }
-  for (int fd : fds) {
-    close(fd);
-  }
-  return ports;
+  return count;
 }
 
 struct TcpClusterOptions {
   bool wal = false;  // WAL-backed servers, in a fresh temporary directory
   Time election_timeout = Millis(30);
   uint64_t lease_rounds = 1;
+  uint64_t trim_watermark = 0;  // ServerOptions::trim_watermark (0 = off)
 };
 
 class TcpCluster {
@@ -75,7 +57,7 @@ class TcpCluster {
       wal_root_ = dir;
     }
     for (int attempt = 0; attempt < 20; ++attempt) {
-      const std::vector<uint16_t> ports = FreePorts(3);
+      const std::vector<uint16_t> ports = net::FreePorts(3);
       if (ports.size() == 3 && TryStart(ports)) {
         return;
       }
@@ -147,6 +129,7 @@ class TcpCluster {
       options.peers.erase(id);
       options.election_timeout = opts_.election_timeout;
       options.lease_rounds = opts_.lease_rounds;
+      options.trim_watermark = opts_.trim_watermark;
       options.ble_priority = id == 1 ? 1 : 0;
       if (!wal_root_.empty()) {
         options.wal_dir = wal_root_ + "/node" + std::to_string(id) + ".wal";

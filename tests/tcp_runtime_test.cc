@@ -148,31 +148,39 @@ TEST(TcpRuntime, FollowerRedirectsToLeader) {
   EXPECT_TRUE(client.AppendAndWait(777, 8, Seconds(10)));
 }
 
+// A WAL-backed server stops, restarts from its journal and catches up with
+// what was decided while it was down. Every fd the servers opened, the
+// journal files of the stopped and the recovered server included, is closed
+// once the cluster is gone.
 TEST(TcpRuntime, SurvivesServerCrashAndWalRecovery) {
-  TcpCluster cluster({.wal = true});
-  OmniClient client(cluster.endpoints());
-  ASSERT_TRUE(client.Connect(Seconds(10)));
-  for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
-    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10)));
-  }
-  // Crash server 3 (thread stopped, state dropped; WAL remains).
-  cluster.StopServer(3);
-  for (uint64_t cmd = 11; cmd <= 20; ++cmd) {
-    ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
-  }
-  // Restart from the WAL; it must catch up with entries decided while down.
-  ASSERT_TRUE(cluster.StartServer(3));
-  OmniClient direct(std::map<NodeId, Endpoint>{{3, cluster.endpoints().at(3)}});
-  ASSERT_TRUE(direct.Connect(Seconds(10)));
-  OmniClient::Status status;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (direct.GetStatus(&status, Seconds(5)) && status.decided >= 20u) {
-      break;
+  const int fds_before = testing::OpenFds();
+  {
+    TcpCluster cluster({.wal = true});
+    OmniClient client(cluster.endpoints());
+    ASSERT_TRUE(client.Connect(Seconds(10)));
+    for (uint64_t cmd = 1; cmd <= 10; ++cmd) {
+      ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10)));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Crash server 3 (thread stopped, state dropped; WAL remains).
+    cluster.StopServer(3);
+    for (uint64_t cmd = 11; cmd <= 20; ++cmd) {
+      ASSERT_TRUE(client.AppendAndWait(cmd, 8, Seconds(10))) << "cmd " << cmd;
+    }
+    // Restart from the WAL; it must catch up with entries decided while down.
+    ASSERT_TRUE(cluster.StartServer(3));
+    OmniClient direct(std::map<NodeId, Endpoint>{{3, cluster.endpoints().at(3)}});
+    ASSERT_TRUE(direct.Connect(Seconds(10)));
+    OmniClient::Status status;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (direct.GetStatus(&status, Seconds(5)) && status.decided >= 20u) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    EXPECT_GE(status.decided, 20u) << "recovered server did not catch up";
   }
-  EXPECT_GE(status.decided, 20u) << "recovered server did not catch up";
+  EXPECT_EQ(testing::OpenFds(), fds_before) << "fds leaked across cluster start and teardown";
 }
 
 // Leader-lease reads through OmniClient: a read with the decided index of
@@ -199,9 +207,11 @@ TEST(TcpRuntime, LeaseReadSeesEveryAcknowledgedWrite) {
 // The small-reply path under pipelining: every lease-read reply the leader
 // packs into a shared send-queue entry reaches the client as its own frame,
 // exactly once and in request order, with the decided pushes for the
-// interleaved appends parsed from the same stream.
+// interleaved appends parsed from the same stream. The servers compact their
+// logs as they go (watermark 16), and the leader's log must have compacted
+// by the end.
 TEST(TcpRuntime, PipelinedLeaseReadsGetOneReplyEachInOrder) {
-  TcpCluster cluster({.election_timeout = Millis(100), .lease_rounds = 4});
+  TcpCluster cluster({.election_timeout = Millis(100), .lease_rounds = 4, .trim_watermark = 16});
   OmniClient client(cluster.endpoints());
   ASSERT_TRUE(client.Connect(Seconds(10)));
   ASSERT_TRUE(client.AppendAndWait(1, 8, Seconds(10)));
@@ -255,6 +265,15 @@ TEST(TcpRuntime, PipelinedLeaseReadsGetOneReplyEachInOrder) {
   // check above, including one that would trail the last reply.
   raw.ReadFrames(200, on_frame);
   EXPECT_EQ(next_read, kReads + 1);
+
+  // Auto-trim runs on the election tick; give it a few.
+  OmniClient::Status status;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (client.GetStatus(&status, Seconds(5)) && status.compacted == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_GT(status.compacted, 0u) << "the leader's log never compacted";
 }
 
 // The leader ships each batch before its own fdatasync, and the leader

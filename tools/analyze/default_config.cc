@@ -161,7 +161,7 @@ AnalyzerConfig DefaultConfig(const std::string& root) {
   // syscalls; in the real-I/O layer, everything reachable from the event-loop
   // entry points must stay non-blocking (poll-readiness model, ROADMAP 4).
   cfg.blocking.det_dirs = cfg.determinism.dirs;
-  cfg.blocking.event_dirs = {"src/net", "bench"};
+  cfg.blocking.event_dirs = {"src/net"};
   cfg.blocking.entries = {
       {"src/net/tcp_transport.cc", "Poll"},
       {"src/net/tcp_transport.cc", "Flush"},
@@ -170,7 +170,6 @@ AnalyzerConfig DefaultConfig(const std::string& root) {
       {"src/net/omni_tcp_server.cc", "Run"},
       {"src/net/omni_tcp_server.cc", "OnPeerMessage"},
       {"src/net/omni_tcp_server.cc", "OnClientFrame"},
-      {"bench/loadgen.cc", "DriveLoad"},
   };
 
   // --- opx-span-escape ----------------------------------------------------

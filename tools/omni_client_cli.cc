@@ -9,38 +9,12 @@
 #include "src/net/omni_client.h"
 #include "src/util/flags.h"
 
-namespace {
-
-bool ParseServers(const std::string& spec, std::map<opx::NodeId, opx::net::Endpoint>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const std::string item = spec.substr(pos, comma - pos);
-    const size_t eq = item.find('=');
-    const size_t colon = item.rfind(':');
-    if (eq == std::string::npos || colon == std::string::npos || colon < eq) {
-      return false;
-    }
-    opx::net::Endpoint endpoint;
-    endpoint.host = item.substr(eq + 1, colon - eq - 1);
-    endpoint.port = static_cast<uint16_t>(std::stoi(item.substr(colon + 1)));
-    (*out)[static_cast<opx::NodeId>(std::stoi(item.substr(0, eq)))] = endpoint;
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace opx;
   Flags flags(argc, argv);
   std::map<NodeId, net::Endpoint> servers;
   if (flags.GetBool("help", false) ||
-      !ParseServers(flags.GetString("servers", ""), &servers)) {
+      !net::ParseEndpoints(flags.GetString("servers", ""), &servers)) {
     std::printf(
         "usage: omni_client --servers=ID=HOST:PORT,... [--count=N] [--status]\n");
     return flags.GetBool("help", false) ? 0 : 2;

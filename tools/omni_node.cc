@@ -22,30 +22,6 @@ std::atomic<bool> g_stop{false};
 
 void OnSignal(int) { g_stop.store(true); }
 
-// Parses "2=127.0.0.1:7002,3=127.0.0.1:7003".
-bool ParsePeers(const std::string& spec, std::map<opx::NodeId, opx::net::Endpoint>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const std::string item = spec.substr(pos, comma - pos);
-    const size_t eq = item.find('=');
-    const size_t colon = item.rfind(':');
-    if (eq == std::string::npos || colon == std::string::npos || colon < eq) {
-      return false;
-    }
-    const opx::NodeId id = static_cast<opx::NodeId>(std::stoi(item.substr(0, eq)));
-    opx::net::Endpoint endpoint;
-    endpoint.host = item.substr(eq + 1, colon - eq - 1);
-    endpoint.port = static_cast<uint16_t>(std::stoi(item.substr(colon + 1)));
-    (*out)[id] = endpoint;
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -66,7 +42,6 @@ int main(int argc, char** argv) {
 
   net::ServerOptions options;
   options.id = static_cast<NodeId>(flags.GetInt("id", 0));
-  options.listen_port = static_cast<uint16_t>(flags.GetInt("port", 0));
   options.wal_dir = flags.GetString("wal-dir", "");
   options.wal_options.segment_bytes =
       static_cast<uint64_t>(flags.GetInt("wal-segment-bytes", 1 << 20));
@@ -79,8 +54,13 @@ int main(int argc, char** argv) {
   options.trim_watermark = static_cast<uint64_t>(flags.GetInt("trim-watermark", 0));
   options.batch_limit = static_cast<uint64_t>(flags.GetInt("batch-limit", 0));
   options.lease_rounds = static_cast<uint64_t>(flags.GetInt("lease-rounds", 1));
-  if (options.id == kNoNode || !ParsePeers(flags.GetString("peers", ""), &options.peers)) {
+  if (options.id == kNoNode ||
+      !net::ParseEndpoints(flags.GetString("peers", ""), &options.peers)) {
     std::fprintf(stderr, "omni_node: --id and --peers are required (see --help)\n");
+    return 2;
+  }
+  if (!net::ParsePort(flags.GetString("port", "0"), &options.listen_port)) {
+    std::fprintf(stderr, "omni_node: --port must be 0-65535 (0: the kernel picks)\n");
     return 2;
   }
 

@@ -19,39 +19,28 @@
 #        tools/run_checks.sh --tsan [build-dir]
 #        tools/run_checks.sh --tcp-repeat [build-dir]
 #        tools/run_checks.sh --bench-smoke [build-dir]
-#        tools/run_checks.sh --net-bench-smoke [build-dir]
-#        tools/run_checks.sh --compaction-smoke [build-dir]
 #        tools/run_checks.sh --wal-smoke [build-dir]
 #        tools/run_checks.sh --chaos-smoke [schedules-per-protocol]
 #        tools/run_checks.sh --coverage [build-dir]
 #
 # --static is the fast pre-commit path: build only the opx_analyze target
-# (plain build, default dir: build-static) and run the ten static checks
+# (plain build, default dir: build-static) and run the thirteen static checks
 # over src/, tests/, and bench/ — a few seconds warm, well under ten cold.
 #
 # --tsan builds the test suite with ThreadSanitizer (default dir: build-tsan)
 # and runs the real-I/O net tests — the only tier that spawns threads — as a
 # data-race smoke. Also part of the default full run (step 4).
 #
-# --tcp-repeat does a Release build of the test suite (default dir:
-# build-bench) and runs every real-socket test (names matching Tcp or
-# ClientWire) up to 20 times over under `ctest -j`, stopping at the first
-# failure: tests that share a host must not collide on ports or timing.
+# --tcp-repeat does a Release build of the test suite and the tcp_cluster
+# example (default dir: build-bench) and runs every real-socket test (names
+# matching Tcp, ClientWire or tcp_cluster) up to 20 times over under
+# `ctest -j`, stopping at the first failure: tests that share a host must not
+# collide on ports or timing. These tests also hold the TCP runtime's gates
+# on leaked fds and on log compaction over real sockets.
 #
 # --bench-smoke instead does a Release build (default dir: build-bench), runs
 # the sim_throughput quick benchmark, and refreshes BENCH_core.json at the
 # repo root — the tracked perf baseline DESIGN.md's before/after table cites.
-#
-# --net-bench-smoke does a Release build of bench/loadgen and fires a 2-second
-# closed-loop burst at a freshly spawned 3-node loopback cluster; exit 0
-# requires a leader, decided ops > 0, and no leaked fds. It does not refresh
-# BENCH_net.json (see EXPERIMENTS.md for the measurement recipe).
-#
-# --compaction-smoke exercises the full production log pipeline (DESIGN.md
-# §15) end to end on a loopback cluster: request batching, leader-lease reads
-# at --read-fraction=0.5, and auto-trim at --trim-watermark=512. loadgen's own
-# exit code enforces the contract — served reads never dip below their
-# read-your-writes watermark and the leader's log actually compacted.
 #
 # --wal-smoke gates the durability layer (DESIGN.md §17): the WAL + durable
 # storage test tiers under ASan+UBSan — including the crash-point matrix that
@@ -142,11 +131,11 @@ if [ "${1:-}" = "--tcp-repeat" ]; then
   cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
     >"$BUILD.configure.log" 2>&1 ||
     { echo "configure FAILED (see $BUILD.configure.log)"; exit 1; }
-  cmake --build "$BUILD" -j "$JOBS" --target opx_tests >"$BUILD.build.log" 2>&1 ||
+  cmake --build "$BUILD" -j "$JOBS" --target opx_tests tcp_cluster >"$BUILD.build.log" 2>&1 ||
     { echo "build FAILED (see $BUILD.build.log)"; exit 1; }
   echo "ok"
   step "TCP tests x20 under ctest -j (until the first failure)"
-  if (cd "$BUILD" && ctest -j "$JOBS" --repeat until-fail:20 -R 'Tcp|ClientWire' \
+  if (cd "$BUILD" && ctest -j "$JOBS" --repeat until-fail:20 -R 'Tcp|ClientWire|tcp_cluster' \
         --output-on-failure); then
     echo "ok"
   else
@@ -228,52 +217,6 @@ if [ "${1:-}" = "--bench-smoke" ]; then
   step "sim_throughput quick -> BENCH_core.json"
   "$BUILD/bench/sim_throughput" --out="$ROOT/BENCH_core.json" || exit 1
   echo "ok"
-  exit 0
-fi
-
-if [ "${1:-}" = "--net-bench-smoke" ]; then
-  BUILD="${2:-$ROOT/build-bench}"
-  step "release build -> $BUILD"
-  cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
-    >"$BUILD.configure.log" 2>&1 ||
-    { echo "configure FAILED (see $BUILD.configure.log)"; exit 1; }
-  cmake --build "$BUILD" -j "$JOBS" --target loadgen >"$BUILD.build.log" 2>&1 ||
-    { echo "build FAILED (see $BUILD.build.log)"; exit 1; }
-  echo "ok"
-  step "loadgen smoke: 3-node loopback cluster, 2s burst, fd-leak check"
-  # Exit code covers the whole contract: cluster up + leader elected +
-  # decided ops > 0 + no fd leaked across start/teardown. The tracked
-  # BENCH_net.json is NOT refreshed here — a 2s burst on a busy CI box is
-  # not a measurement; see EXPERIMENTS.md for the real recipe.
-  if "$BUILD/bench/loadgen" --duration-s=2 --warmup-s=1 --check-fds; then
-    echo "ok"
-  else
-    echo "net bench smoke FAILED"
-    exit 1
-  fi
-  exit 0
-fi
-
-if [ "${1:-}" = "--compaction-smoke" ]; then
-  BUILD="${2:-$ROOT/build-bench}"
-  step "release build -> $BUILD"
-  cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
-    >"$BUILD.configure.log" 2>&1 ||
-    { echo "configure FAILED (see $BUILD.configure.log)"; exit 1; }
-  cmake --build "$BUILD" -j "$JOBS" --target loadgen >"$BUILD.build.log" 2>&1 ||
-    { echo "build FAILED (see $BUILD.build.log)"; exit 1; }
-  echo "ok"
-  step "compaction smoke: lease reads + auto-trim, 3s mixed burst"
-  # loadgen exits non-zero if any served read lands below its watermark or if
-  # --trim-watermark produced no compaction. The tracked BENCH_net.json is
-  # refreshed from the 30s recipe in EXPERIMENTS.md, not from this smoke.
-  if "$BUILD/bench/loadgen" --duration-s=3 --warmup-s=1 --read-fraction=0.5 \
-      --trim-watermark=512 --check-fds; then
-    echo "ok"
-  else
-    echo "compaction smoke FAILED"
-    exit 1
-  fi
   exit 0
 fi
 
