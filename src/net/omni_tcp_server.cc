@@ -42,8 +42,10 @@ bool OmniTcpServer::Start() {
                                                    options_.wal_options, &error);
     // Corruption is not "nothing to recover": re-creating over an unreadable
     // journal would silently discard acknowledged state.
-    OPX_CHECK(error.empty()) << "server " << options_.id << ": WAL in "
-                             << options_.wal_dir << " is corrupt: " << error;
+    if (!error.empty()) {
+      wal_error_ = "WAL in " + options_.wal_dir + " refused: " + error;
+      return false;
+    }
     if (from_disk != nullptr) {
       recovered = true;
       durable_ = from_disk.get();
@@ -52,7 +54,10 @@ bool OmniTcpServer::Start() {
                << storage_->log_len() << " decided=" << storage_->decided_idx();
     } else {
       auto fresh = omni::DurableStorage::Create(wal::PosixEnv(), options_.wal_dir,
-                                                options_.wal_options);
+                                                options_.wal_options, &wal_error_);
+      if (fresh == nullptr) {
+        return false;
+      }
       durable_ = fresh.get();
       storage_ = std::move(fresh);
     }

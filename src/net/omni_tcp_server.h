@@ -71,8 +71,11 @@ class OmniTcpServer {
   OmniTcpServer(const OmniTcpServer&) = delete;
   OmniTcpServer& operator=(const OmniTcpServer&) = delete;
 
-  // Opens (or recovers) storage and starts listening. False on bind failure.
+  // Opens (or recovers) storage and starts listening. False if the WAL
+  // cannot be opened or recovery refuses it (wal_error() says why), or if
+  // the listening socket cannot be set up (wal_error() empty).
   bool Start();
+  const std::string& wal_error() const { return wal_error_; }
 
   // Runs the event loop until `stop` becomes true.
   void Run(const std::atomic<bool>& stop);
@@ -98,6 +101,7 @@ class OmniTcpServer {
   void Dispatch(std::vector<omni::OmniOut> outs, bool hold_votes);
 
   ServerOptions options_;
+  std::string wal_error_;
   std::unique_ptr<omni::Storage> storage_;
   omni::DurableStorage* durable_ = nullptr;  // storage_ downcast when WAL-backed
   std::unique_ptr<omni::OmniPaxos> node_;

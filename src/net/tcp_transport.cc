@@ -78,7 +78,8 @@ bool ParseEndpoints(std::string_view spec, std::map<NodeId, Endpoint>* out) {
       return false;
     }
     endpoint.host = item.substr(eq + 1, colon - eq - 1);
-    if (endpoint.host.empty() ||
+    in_addr addr{};
+    if (inet_pton(AF_INET, endpoint.host.c_str(), &addr) != 1 ||
         !parsed.emplace(static_cast<NodeId>(id), std::move(endpoint)).second) {
       return false;
     }

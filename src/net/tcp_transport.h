@@ -55,10 +55,12 @@ struct Endpoint {
 bool ParsePort(std::string_view text, uint16_t* port);
 
 // Parses "ID=HOST:PORT,ID=HOST:PORT,..." (the --peers and --servers flags).
-// Rejects the whole list, leaving `out` untouched, if any item lacks its `=`
-// or `:`, has an id or port that is not all digits, an id of 0 (kNoNode) or
-// beyond NodeId's range, a port outside 1-65535, an empty host, or an id
-// given twice.
+// HOST must be an IPv4 literal such as 127.0.0.1: the transport dials with
+// inet_pton and resolves no names. Rejects the whole list, leaving `out`
+// untouched, if any item lacks its `=` or `:`, has an id or port that is not
+// all digits, an id of 0 (kNoNode) or beyond NodeId's range, a port outside
+// 1-65535, a host that is not an IPv4 literal (a name, IPv6, empty), or an
+// id given twice.
 bool ParseEndpoints(std::string_view spec, std::map<NodeId, Endpoint>* out);
 
 // Asks the kernel for `n` distinct free loopback ports by binding port 0.

@@ -328,10 +328,15 @@ DurableStorage::~DurableStorage() = default;
 
 std::unique_ptr<DurableStorage> DurableStorage::Create(wal::Env* env,
                                                        const std::string& dir,
-                                                       const wal::WalOptions& options) {
-  std::string error;
-  auto wal = wal::SegmentedWal::CreateFresh(env, dir, options, &error);
-  OPX_CHECK(wal != nullptr) << "cannot create WAL in " << dir << ": " << error;
+                                                       const wal::WalOptions& options,
+                                                       std::string* error) {
+  std::string why;
+  auto wal = wal::SegmentedWal::CreateFresh(env, dir, options, &why);
+  if (wal == nullptr && error != nullptr) {
+    *error = why;
+    return nullptr;
+  }
+  OPX_CHECK(wal != nullptr) << "cannot create WAL in " << dir << ": " << why;
   auto storage = std::unique_ptr<DurableStorage>(new DurableStorage(std::move(wal)));
   storage->WireCheckpoint();
   return storage;

@@ -49,12 +49,16 @@ namespace opx::omni {
 class DurableStorage final : public Storage {
  public:
   // Creates a fresh storage journaling into `dir` (any existing WAL files
-  // there are deleted). Use Recover() to resume from an existing WAL.
+  // there are deleted). Use Recover() to resume from an existing WAL. If the
+  // WAL cannot be created, returns nullptr with *error set, or CHECK-fails
+  // when `error` is null.
   static std::unique_ptr<DurableStorage> Create(wal::Env* env, const std::string& dir,
-                                                const wal::WalOptions& options = {});
+                                                const wal::WalOptions& options = {},
+                                                std::string* error = nullptr);
 
   // Rebuilds storage state from the WAL in `dir` and reopens it for
-  // appending; a torn tail in the active segment is discarded. Returns
+  // appending; zero padding or a torn tail after the active segment's last
+  // record is cut. Returns
   // nullptr either when there is nothing to recover (*error, if given, left
   // empty) or when the WAL is corrupt (*error describes the refusal —
   // callers must not quietly re-Create over an unreadable journal).

@@ -187,14 +187,18 @@ class OmniNode {
     const uint64_t fingerprint = omni::StorageFingerprint(*storage_);
     const std::string active =
         wal_dir_ + "/" + wal::SegmentFileName(durable_->wal().active_seq());
+    const uint64_t logical_end = durable_->wal().active_size();
     node_.reset();  // the old instance must not outlive its storage
     durable_ = nullptr;
     storage_.reset();  // closes the journal's files
 
-    // Deterministic torn tail: append junk bytes (derived from the state
-    // fingerprint, so reruns of a seed are identical) that recovery must
-    // identify as a torn record and truncate away.
-    if (auto tail = wal_env_->OpenAppend(active)) {
+    // Deterministic torn tail: junk bytes (derived from the state
+    // fingerprint, so reruns of a seed are identical) at the logical end,
+    // where the interrupted commit would have landed, in place of the zero
+    // padding. Recovery must identify them as a torn record and cut them.
+    auto tail =
+        wal_env_->TruncateFile(active, logical_end) ? wal_env_->OpenAppend(active) : nullptr;
+    if (tail != nullptr) {
       uint8_t junk[8];
       const size_t n = 1 + static_cast<size_t>(fingerprint % 7);
       for (size_t i = 0; i < n; ++i) {

@@ -1,8 +1,8 @@
 // Narrow filesystem interface the WAL writes through.
 //
-// Everything SegmentedWal does to disk — create, append, fdatasync, list,
-// rename, delete, truncate — goes through this seam, so tests can swap in
-// FaultFs (fault_fs.h): a deterministic in-memory filesystem that injects
+// Everything SegmentedWal does to disk — create, write, fdatasync, list,
+// rename, delete, truncate, zero-fill — goes through this seam, so tests can
+// swap in FaultFs (fault_fs.h): a deterministic in-memory filesystem that injects
 // short writes, failed fsyncs, and crash-at-byte-N cuts. PosixEnv() is the
 // production implementation; its Sync() is a real fdatasync, which is the
 // whole point of the exercise (DESIGN.md §17).
@@ -16,10 +16,13 @@
 
 namespace opx::wal {
 
-// An open file positioned at its end. Append() either lands every byte or
-// returns false (a short write at the POSIX layer is retried internally;
-// running out of space is not). Sync() must not return until the appended
-// bytes are durable.
+// An open file written sequentially from where it ended when opened. Each
+// handle keeps its own position, size(): Append() lands its bytes there and
+// advances it, overwriting whatever lies past it (the zeros TruncateFile laid
+// ahead), so the file's physical end may lie beyond size(). Append() either
+// lands every byte or returns false (a short write at the POSIX layer is
+// retried internally; running out of space is not). Sync() must not return
+// until the written bytes are durable.
 class AppendFile {
  public:
   virtual ~AppendFile() = default;
@@ -32,7 +35,7 @@ class Env {
  public:
   virtual ~Env() = default;
 
-  // Opens `path` for appending, creating it if absent.
+  // Opens `path` for writing at its current end, creating it if absent.
   virtual std::unique_ptr<AppendFile> OpenAppend(const std::string& path) = 0;
 
   // Reads the whole file into `out`. False if it cannot be opened.
@@ -47,6 +50,10 @@ class Env {
 
   virtual bool DeleteFile(const std::string& path) = 0;
   virtual bool RenameFile(const std::string& from, const std::string& to) = 0;
+  // Sets the size of `path`. Growing it writes zeros, never a hole: on ext4
+  // the first write into a hole or a fallocated range allocates or converts
+  // an extent, which is a metadata write the next fdatasync has to persist.
+  // The zeros are not durable until a Sync() of the file.
   virtual bool TruncateFile(const std::string& path, uint64_t size) = 0;
   virtual bool FileExists(const std::string& path) = 0;
 

@@ -25,7 +25,8 @@ class PosixAppendFile final : public AppendFile {
   bool Append(const uint8_t* data, size_t len) override {
     size_t done = 0;
     while (done < len) {
-      const ssize_t n = ::write(fd_, data + done, len - done);
+      const ssize_t n =
+          ::pwrite(fd_, data + done, len - done, static_cast<off_t>(size_ + done));
       if (n < 0) {
         if (errno == EINTR) {
           continue;
@@ -50,7 +51,7 @@ class PosixAppendFile final : public AppendFile {
 class PosixEnvImpl final : public Env {
  public:
   std::unique_ptr<AppendFile> OpenAppend(const std::string& path) override {
-    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
     if (fd < 0) {
       return nullptr;
     }
@@ -119,7 +120,27 @@ class PosixEnvImpl final : public Env {
   }
 
   bool TruncateFile(const std::string& path, uint64_t size) override {
-    return ::truncate(path.c_str(), static_cast<off_t>(size)) == 0;
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    if (fd < 0) {
+      return false;
+    }
+    struct stat st {};
+    bool ok = ::fstat(fd, &st) == 0;
+    if (ok && size < static_cast<uint64_t>(st.st_size)) {
+      ok = ::ftruncate(fd, static_cast<off_t>(size)) == 0;
+    }
+    static const uint8_t kZeros[1 << 16] = {};
+    for (uint64_t at = static_cast<uint64_t>(st.st_size); ok && at < size;) {
+      const ssize_t n = ::pwrite(fd, kZeros, std::min<uint64_t>(size - at, sizeof kZeros),
+                                 static_cast<off_t>(at));
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      ok = n > 0;
+      at += ok ? static_cast<uint64_t>(n) : 0;
+    }
+    ::close(fd);
+    return ok;
   }
 
   bool FileExists(const std::string& path) override {

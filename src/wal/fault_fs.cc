@@ -34,22 +34,60 @@ bool InDir(const std::string& dir, const std::string& path, std::string* name) {
 
 class FaultAppendFile final : public AppendFile {
  public:
-  FaultAppendFile(FaultFs* fs, std::string path) : fs_(fs), path_(std::move(path)) {}
+  FaultAppendFile(FaultFs* fs, std::string path, uint64_t at)
+      : fs_(fs), path_(std::move(path)), at_(at) {}
 
   bool Append(const uint8_t* data, size_t len) override {
-    return fs_->DoAppend(path_, data, len) == len;
+    const size_t landed = fs_->DoAppend(path_, at_, data, len);
+    at_ += landed;
+    return landed == len;
   }
   bool Sync() override { return fs_->DoSync(path_); }
-  uint64_t size() const override { return fs_->FileSize(path_); }
+  uint64_t size() const override { return at_; }
 
  private:
   FaultFs* fs_;
   std::string path_;
+  uint64_t at_;  // this handle's write position
 };
 
+void FaultFs::FileState::Write(uint64_t at, const uint8_t* data, size_t len) {
+  if (at < synced_size && len > 0) {
+    const auto from = bytes.begin() + static_cast<ptrdiff_t>(at);
+    overwritten.emplace_back(
+        at, std::vector<uint8_t>(from, from + static_cast<ptrdiff_t>(
+                                                  std::min<uint64_t>(len, synced_size - at))));
+  }
+  if (bytes.size() < at + len) {
+    bytes.resize(at + len);
+  }
+  std::copy(data, data + len, bytes.begin() + static_cast<ptrdiff_t>(at));
+}
+
+void FaultFs::FileState::Resize(uint64_t size) {
+  bytes.resize(size);
+  synced_size = std::min(synced_size, size);
+}
+
+void FaultFs::FileState::MarkSynced() {
+  synced_size = bytes.size();
+  overwritten.clear();
+}
+
+void FaultFs::FileState::DropUnsynced() {
+  for (auto it = overwritten.rbegin(); it != overwritten.rend(); ++it) {
+    const auto& [at, old] = *it;
+    for (uint64_t i = 0; i < old.size() && at + i < synced_size; ++i) {
+      bytes[at + i] = old[i];
+    }
+  }
+  bytes.resize(synced_size);
+  overwritten.clear();
+}
+
 std::unique_ptr<AppendFile> FaultFs::OpenAppend(const std::string& path) {
-  files_[path];  // create if absent (zero synced bytes)
-  return std::make_unique<FaultAppendFile>(this, path);
+  const uint64_t end = files_[path].bytes.size();  // create if absent (zero synced bytes)
+  return std::make_unique<FaultAppendFile>(this, path, end);
 }
 
 bool FaultFs::ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
@@ -118,10 +156,7 @@ bool FaultFs::TruncateFile(const std::string& path, uint64_t size) {
   if (it == files_.end()) {
     return false;
   }
-  if (size < it->second.bytes.size()) {
-    it->second.bytes.resize(size);
-  }
-  it->second.synced_size = std::min(it->second.synced_size, size);
+  it->second.Resize(size);
   journal_.push_back(Op{Op::kTruncate, path, {}, {}, size});
   return true;
 }
@@ -150,17 +185,17 @@ bool FaultFs::CorruptByte(const std::string& path, uint64_t offset) {
   return true;
 }
 
-size_t FaultFs::DoAppend(const std::string& path, const uint8_t* data, size_t len) {
+size_t FaultFs::DoAppend(const std::string& path, uint64_t at, const uint8_t* data,
+                         size_t len) {
   size_t land = len;
   if (write_budget_ != kNoLimit) {
     land = static_cast<size_t>(std::min<uint64_t>(len, write_budget_));
     write_budget_ -= land;
   }
-  FileState& file = files_[path];
-  file.bytes.insert(file.bytes.end(), data, data + land);
+  files_[path].Write(at, data, land);
   total_appended_ += land;
   if (land > 0) {
-    Op op{Op::kAppend, path, {}, {}, 0};
+    Op op{Op::kAppend, path, {}, {}, at};
     op.bytes.assign(data, data + land);
     journal_.push_back(std::move(op));
   }
@@ -174,15 +209,9 @@ bool FaultFs::DoSync(const std::string& path) {
     }
     --syncs_allowed_;
   }
-  FileState& file = files_[path];
-  file.synced_size = file.bytes.size();
+  files_[path].MarkSynced();
   journal_.push_back(Op{Op::kSync, path, {}, {}, 0});
   return true;
-}
-
-uint64_t FaultFs::FileSize(const std::string& path) const {
-  auto it = files_.find(path);
-  return it == files_.end() ? 0 : it->second.bytes.size();
 }
 
 std::unique_ptr<FaultFs> FaultFs::CutAtByte(uint64_t byte_budget, bool drop_unsynced) const {
@@ -240,9 +269,7 @@ std::unique_ptr<FaultFs> FaultFs::Materialize(size_t op_count, uint64_t last_app
         if (i + 1 == op_count && last_append_bytes != kNoLimit) {
           land = std::min<uint64_t>(land, last_append_bytes);
         }
-        FileState& file = fs->files_[op.a];
-        file.bytes.insert(file.bytes.end(), op.bytes.begin(),
-                          op.bytes.begin() + static_cast<ptrdiff_t>(land));
+        fs->files_[op.a].Write(op.size, op.bytes.data(), static_cast<size_t>(land));
         break;
       }
       case Op::kDelete:
@@ -263,18 +290,15 @@ std::unique_ptr<FaultFs> FaultFs::Materialize(size_t op_count, uint64_t last_app
       }
       case Op::kTruncate: {
         auto it = fs->files_.find(op.a);
-        if (it != fs->files_.end() && op.size < it->second.bytes.size()) {
-          it->second.bytes.resize(op.size);
-        }
         if (it != fs->files_.end()) {
-          it->second.synced_size = std::min(it->second.synced_size, op.size);
+          it->second.Resize(op.size);
         }
         break;
       }
       case Op::kSync: {
         auto it = fs->files_.find(op.a);
         if (it != fs->files_.end()) {
-          it->second.synced_size = it->second.bytes.size();
+          it->second.MarkSynced();
         }
         break;
       }
@@ -287,9 +311,7 @@ std::unique_ptr<FaultFs> FaultFs::Materialize(size_t op_count, uint64_t last_app
   }
   if (drop_unsynced) {
     for (auto& [path, file] : fs->files_) {
-      if (file.bytes.size() > file.synced_size) {
-        file.bytes.resize(file.synced_size);
-      }
+      file.DropUnsynced();
     }
   }
   // The copy starts with a clean journal: the pre-crash history is not part

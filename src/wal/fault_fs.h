@@ -5,7 +5,8 @@
 //   - Write budget: after `set_write_budget(n)`, only the first n payload
 //     bytes of Append() calls land; the call that crosses the budget lands a
 //     short prefix and returns false (torn record), later appends land
-//     nothing. Models a disk that dies mid-write.
+//     nothing. Models a disk that dies mid-write. The zeros a growing
+//     TruncateFile() lays are not payload and do not count.
 //   - Failed fsyncs: `set_sync_failures_after(n)` lets the first n Sync()
 //     calls succeed and fails every later one. Models a dying device whose
 //     cache can no longer be flushed.
@@ -16,10 +17,18 @@
 //     prefix, and every operation after it (including renames and deletes)
 //     never happened. `CutAtOp(k)` cuts between operations instead, making
 //     the windows byte cuts cannot reach (after a rename, before the
-//     directory sync; between deletes) enumerable. With drop_unsynced, bytes
-//     a file gained after its last successful Sync() are discarded (lost
-//     page cache), and renames/deletes issued after the directory's last
-//     successful SyncDir() are rolled back (lost directory metadata).
+//     directory sync; between deletes) enumerable. With drop_unsynced, a file
+//     goes back to what its last successful Sync() saw (lost page cache):
+//     bytes it gained since are discarded, and bytes written since over older
+//     ones regain their old values — so the zero padding of a WAL segment,
+//     once synced, survives, and a power loss leaves zeros past the synced
+//     logical end rather than a shorter file. Renames/deletes issued after
+//     the directory's last successful SyncDir() are rolled back (lost
+//     directory metadata). A shrinking TruncateFile() is durable at once.
+//
+// Each AppendFile handle writes at its own position (env.h), so a segment
+// with zeros laid ahead by TruncateFile() is modelled exactly as PosixEnv
+// lays it out on disk.
 //
 // Everything is std::map/std::vector state — no clocks, no randomness — so a
 // given operation sequence always yields bit-identical files. The chaos
@@ -33,6 +42,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/wal/env.h"
@@ -93,7 +103,15 @@ class FaultFs final : public Env {
 
   struct FileState {
     std::vector<uint8_t> bytes;
-    uint64_t synced_size = 0;  // bytes covered by the last successful Sync()
+    uint64_t synced_size = 0;  // bytes.size() at the last successful Sync()
+    // Writes since that Sync() below synced_size, each with the bytes it
+    // overwrote, oldest first: what a power loss puts back.
+    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> overwritten;
+
+    void Write(uint64_t at, const uint8_t* data, size_t len);
+    void Resize(uint64_t size);
+    void MarkSynced();
+    void DropUnsynced();
   };
 
   struct Op {
@@ -101,13 +119,13 @@ class FaultFs final : public Env {
     Kind kind;
     std::string a, b;            // path (and rename target)
     std::vector<uint8_t> bytes;  // kAppend payload actually landed
-    uint64_t size = 0;           // kTruncate
+    uint64_t size = 0;           // kTruncate size; kAppend file offset
   };
 
-  // Returns bytes landed (may be < len under a write budget).
-  size_t DoAppend(const std::string& path, const uint8_t* data, size_t len);
+  // Writes at offset `at`; returns bytes landed (may be < len under a write
+  // budget).
+  size_t DoAppend(const std::string& path, uint64_t at, const uint8_t* data, size_t len);
   bool DoSync(const std::string& path);
-  uint64_t FileSize(const std::string& path) const;
 
   // Shared CutAtByte/CutAtOp materializer: replays the first `op_count`
   // journal ops, with only `last_append_bytes` of the final op landing when

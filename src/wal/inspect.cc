@@ -57,12 +57,25 @@ int DumpWal(Env* env, const std::string& dir, const InspectOptions& options,
       continue;
     }
 
+    // The active (last) segment may end in zeros laid ahead of its next
+    // commit; they start where the trailing run of zero bytes does, or at the
+    // end of the record that run began inside.
+    const bool last = i + 1 == segments.size();
+    size_t zeros_from = bytes.size();
+    while (last && zeros_from > kSegmentHeaderSize && bytes[zeros_from - 1] == 0) {
+      --zeros_from;
+    }
     uint64_t records = 0;
     uint64_t bad_crc = 0;
     size_t pos = kSegmentHeaderSize;
     size_t torn_at = bytes.size();
+    size_t padding_at = bytes.size();
     std::vector<std::string> record_lines;
     while (pos < bytes.size()) {
+      if (pos >= zeros_from) {
+        padding_at = pos;
+        break;
+      }
       if (bytes.size() - pos < kRecordFrameBytes) {
         torn_at = pos;
         break;
@@ -111,6 +124,10 @@ int DumpWal(Env* env, const std::string& dir, const InspectOptions& options,
       out << "  torn tail: " << (bytes.size() - torn_at) << " trailing bytes at @"
           << torn_at << "\n";
       ++problems;
+    }
+    if (padding_at < bytes.size()) {
+      out << "  padding: " << (bytes.size() - padding_at) << " zero bytes at @" << padding_at
+          << "\n";
     }
     problems += static_cast<int>(bad_crc);
     total_records += records;

@@ -30,7 +30,9 @@ using RecordDescriber =
 
 // Scans every segment in `dir`, writing a report to `out`. Returns the number
 // of problems found (unparseable headers, chain gaps, CRC failures, torn
-// bytes); 0 means the WAL is structurally sound.
+// bytes); 0 means the WAL is structurally sound. Zeros after the last record
+// of the last segment are its padding (segmented_wal.h), reported but not a
+// problem; in a sealed segment they are a torn tail, as recovery treats them.
 int DumpWal(Env* env, const std::string& dir, const InspectOptions& options,
             const RecordDescriber& describe, std::ostream& out);
 

@@ -256,10 +256,10 @@ std::unique_ptr<SegmentedWal> SegmentedWal::Open(Env* env, std::string dir,
             << pos << ": refusing to truncate acknowledged bytes";
         return fail(why.str());
       }
-      // Torn tail of the active segment: the crash interrupted an append
-      // that was never acknowledged. Cut it off and resume behind it.
+      // Padding, or the torn tail of a commit the crash interrupted before
+      // it was acknowledged: cut either and resume behind the last record.
       if (!env->TruncateFile(path, valid_end)) {
-        return fail("cannot truncate torn WAL tail in " + path);
+        return fail("cannot truncate WAL tail in " + path);
       }
     }
     if (!last) {
@@ -342,6 +342,15 @@ bool SegmentedWal::WriteAndSync() {
     Poison("segment append failed in " + PathFor(seq_));
     return false;
   }
+  const uint64_t end = active_->size();
+  if (end > padded_end_ && !RotationDue()) {
+    // Crossed the zeros laid ahead: lay the next chunk, unless the next
+    // commit boundary rotates and would only cut it again. A failed or
+    // partial write leaves zeros or nothing past `end`; either way
+    // padded_end_ bounds what Rotate() must cut.
+    padded_end_ = (end / kSegmentPadBytes + 1) * kSegmentPadBytes;
+    static_cast<void>(env_->TruncateFile(PathFor(seq_), padded_end_));
+  }
   if (!active_->Sync()) {
     Poison("fdatasync failed on " + PathFor(seq_));
     return false;
@@ -375,23 +384,35 @@ bool SegmentedWal::MaybeCompact() {
   return ok_;
 }
 
-void SegmentedWal::MaybeRotate() {
-  if (!ok_ || checkpoint_ == nullptr || active_ == nullptr) {
-    return;
-  }
-  if (active_->size() < options_.segment_bytes) {
-    return;
-  }
+bool SegmentedWal::RotationDue() const {
   // A state too big to checkpoint compactly keeps extending the active
   // segment; rotating would rewrite ~the whole state per segment_bytes of
   // appends (quadratic I/O).
-  if (checkpoint_estimate_() > options_.segment_bytes / 2) {
-    return;
+  return checkpoint_ != nullptr && active_ != nullptr &&
+         active_->size() >= options_.segment_bytes &&
+         checkpoint_estimate_() <= options_.segment_bytes / 2;
+}
+
+void SegmentedWal::MaybeRotate() {
+  if (ok_ && RotationDue()) {
+    Rotate();
   }
-  Rotate();
 }
 
 void SegmentedWal::Rotate() {
+  // Seal first: recovery refuses any bytes past a sealed segment's last
+  // record, and the old segment is sealed the moment the new one is renamed
+  // into place.
+  if (padded_end_ > active_->size()) {
+    if (!env_->TruncateFile(PathFor(seq_), active_->size())) {
+      return;  // advisory, like a failed segment write below
+    }
+    padded_end_ = active_->size();
+    if (!active_->Sync()) {
+      Poison("fdatasync failed on " + PathFor(seq_));
+      return;
+    }
+  }
   const auto [type, payload] = checkpoint_();
   std::vector<uint8_t> first;
   FrameRecord(&first, type, payload.data(), payload.size());
@@ -428,6 +449,7 @@ void SegmentedWal::Rotate() {
   }
   closed_.clear();
   seq_ = new_seq;
+  padded_end_ = 0;
   active_ = env_->OpenAppend(PathFor(seq_));
   if (active_ == nullptr) {
     Poison("cannot open rotated WAL segment " + PathFor(seq_));

@@ -20,8 +20,19 @@
 // sync_every_records bound how much can sit unsynced: crossing a threshold
 // flushes immediately (without rotating — see below).
 //
+// Padding: the active segment keeps zeros written past its logical end (the
+// end of its last record), up to the next kSegmentPadBytes boundary. Each
+// commit lands at the logical end inside them, so its fdatasync flushes data
+// pages only; it does not also persist a new file size and new blocks. The
+// commit that crosses the padded end lays the next chunk (Env::TruncateFile
+// grows a file with written zeros) and pays for its writeback, unless the
+// segment is due to rotate at the next commit boundary. Padding is
+// advisory: if the zeros cannot be written, the commits up to that boundary
+// grow the file as they did before padding existed.
+//
 // Rotation: when the active segment outgrows segment_bytes, the writer seals
-// it by starting segment seq+1 whose first record is a checkpoint (a caller-
+// it — cuts its padding and syncs, so a sealed segment ends at its last
+// record — and starts segment seq+1 whose first record is a checkpoint (a caller-
 // encoded record capturing the complete state), written to wal-<seq+1>.seg.tmp,
 // synced, renamed into place, and the directory fsync'd — POSIX orders
 // nothing across metadata ops, so without it a power loss could persist the
@@ -34,9 +45,13 @@
 // miss the in-flight mutation.
 //
 // Recovery (Open): list segments, require contiguous seqs, replay records in
-// order. A torn or corrupt tail in the *last* segment is truncated away
-// (crash mid-append); any damage in a sealed segment — or a gap in the chain
-// — is refused loudly with an error, because sealed bytes were fdatasync'd
+// order. In the *last* segment, whatever follows the last valid record is cut
+// away: all zeros is padding, a clean end; anything else is a torn or corrupt
+// tail (crash mid-append). An all-zero frame never passes the CRC, so
+// padding always ends the replay. After the cut nothing lies past the
+// logical end, so no stale CRC-valid frame can end up behind new records.
+// Any damage in a sealed segment — padding included — or a gap in the chain
+// is refused loudly with an error, because sealed bytes were fdatasync'd
 // and acknowledged: silently dropping them could un-decide entries. A
 // CRC-valid record the replay sink refuses is refused loudly even in the
 // last segment: a fully-framed record may have been group-committed and
@@ -75,6 +90,12 @@ inline constexpr size_t kRecordFrameBytes = 1 + 4 + 4;  // type + len + crc
 // Records larger than this are treated as corruption, bounding what a torn
 // length field can make recovery try to skip.
 inline constexpr uint32_t kMaxRecordBytes = 64u << 20;
+// Zeros are laid ahead of the active segment's logical end up to the next
+// multiple of this (see "Padding" above). Of 64 KiB, 256 KiB and 1 MiB, the
+// three gave wal-write p50s within noise of each other and 256 KiB the
+// highest throughput in most rounds (EXPERIMENTS.md, "Preallocated
+// segments"); a smaller chunk keeps the commit that lays it shorter.
+inline constexpr uint64_t kSegmentPadBytes = 256 << 10;
 
 std::string SegmentFileName(uint64_t seq);
 bool ParseSegmentFileName(const std::string& name, uint64_t* seq);
@@ -142,9 +163,12 @@ class SegmentedWal {
   bool HasPending() const { return !buffer_.empty(); }
   const std::string& dir() const { return dir_; }
   uint64_t active_seq() const { return seq_; }
+  // Logical size of the active segment: its header and written records, not
+  // the zeros laid past them.
+  uint64_t active_size() const { return active_ == nullptr ? 0 : active_->size(); }
   // Segments currently on disk, including the active one.
   uint64_t segment_count() const { return closed_.size() + 1; }
-  // Bytes across all segments plus the unflushed buffer.
+  // Logical bytes across all segments plus the unflushed buffer.
   uint64_t TotalBytes() const;
 
  private:
@@ -158,8 +182,9 @@ class SegmentedWal {
   size_t OpenRecord(uint8_t type, size_t len);
   void SealRecord(size_t payload_at);
   bool WriteAndSync();     // flush buffer to the active segment, no rotation
-  void MaybeRotate();      // rotate if the active segment is over budget
-  void Rotate();           // checkpoint into a fresh segment, delete older ones
+  bool RotationDue() const;  // over budget, and a checkpoint fits
+  void MaybeRotate();      // rotate if RotationDue()
+  void Rotate();           // seal, checkpoint into a fresh segment, delete older ones
   void Poison(const std::string& why);
 
   Env* env_;
@@ -167,6 +192,7 @@ class SegmentedWal {
   WalOptions options_;
 
   std::unique_ptr<AppendFile> active_;
+  uint64_t padded_end_ = 0;  // physical end of the active segment once padded
   uint64_t seq_ = 0;
   std::vector<std::pair<uint64_t, uint64_t>> closed_;  // (seq, bytes) of sealed segments
 

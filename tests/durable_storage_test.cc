@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <variant>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "src/util/le_bytes.h"
 #include "src/util/log_index.h"
 #include "src/wal/fault_fs.h"
+#include "src/wal/inspect.h"
 
 namespace opx {
 namespace {
@@ -154,17 +156,18 @@ TEST(DurableStorage, StopSignSurvivesRecovery) {
 
 TEST(DurableStorage, TornTailIsDiscardedOnRealDisk) {
   const std::string dir = TempWalDir("torn");
+  uint64_t logical_end = 0;
   {
     auto storage = DurableStorage::Create(dir);
     storage->Append(Entry::Command(1, 8));
     storage->Append(Entry::Command(2, 8));
     ASSERT_TRUE(storage->Sync());
+    logical_end = storage->wal().active_size();
   }
-  // Chop a few bytes off the end: the last record becomes torn.
+  // Chop a few bytes off the logical end (the padding goes with them): the
+  // last record becomes torn.
   const std::string path = dir + "/" + wal::SegmentFileName(1);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(wal::PosixEnv()->ReadFileBytes(path, &bytes));
-  ASSERT_TRUE(wal::PosixEnv()->TruncateFile(path, bytes.size() - 3));
+  ASSERT_TRUE(wal::PosixEnv()->TruncateFile(path, logical_end - 3));
 
   auto recovered = DurableStorage::Recover(dir);
   ASSERT_NE(recovered, nullptr);
@@ -523,6 +526,35 @@ TEST(DurableStorageCrashMatrix, EveryByteOffset) {
   }
 }
 
+// A sealed segment ends at its last record: Rotate() cuts the padding and
+// syncs before the next segment is written, so at every operation boundary
+// of the script's rotations, under either crash model, the dump finds no
+// problem — in particular no zeros in a segment that is not the last.
+TEST(DurableStorageCrashMatrix, NoSealedSegmentCarriesPaddingAtAnyOpBoundary) {
+  for (const bool drop_unsynced : {false, true}) {
+    SCOPED_TRACE(drop_unsynced ? "power-loss (drop unsynced)" : "process-kill");
+    FaultFs fs;
+    RunCrashPointScript(&fs, ExplicitSyncOnly());
+    size_t cuts_with_a_sealed_segment = 0;
+    for (size_t k = 0; k <= fs.journal_ops(); ++k) {
+      SCOPED_TRACE("cut at op " + std::to_string(k));
+      auto cut = fs.CutAtOp(k, drop_unsynced);
+      std::vector<std::string> names;
+      if (!cut->ListDir(kDir, &names)) {
+        continue;
+      }
+      uint64_t seq = 0;
+      cuts_with_a_sealed_segment +=
+          std::count_if(names.begin(), names.end(), [&seq](const std::string& name) {
+            return wal::ParseSegmentFileName(name, &seq);
+          }) > 1;
+      std::ostringstream out;
+      EXPECT_EQ(wal::DumpWal(cut.get(), kDir, {}, nullptr, out), 0) << out.str();
+    }
+    EXPECT_GT(cuts_with_a_sealed_segment, 0u) << "no cut landed inside a rotation";
+  }
+}
+
 // Same contract swept across journal OPERATION boundaries. Byte cuts can
 // only land inside or exactly after an append, so the windows between
 // metadata ops — segment renamed but the directory fsync pending, old
@@ -637,13 +669,10 @@ TEST(DurableStorage, EveryFinalRecordByteFlipRecoversCleanly) {
     before_fingerprint = StorageFingerprint(*storage);
     path = ActiveSegmentPath(*storage);
 
-    std::vector<uint8_t> bytes;
-    ASSERT_TRUE(fs.ReadFileBytes(path, &bytes));
-    final_start = bytes.size();
+    final_start = storage->wal().active_size();
     storage->Append(Entry::Command(3, 8));  // the record under attack
     ASSERT_TRUE(storage->Sync());
-    ASSERT_TRUE(fs.ReadFileBytes(path, &bytes));
-    final_end = bytes.size();
+    final_end = storage->wal().active_size();
   }
   ASSERT_GT(final_end, final_start);
 

@@ -60,6 +60,68 @@ TEST(Flags, BooleanFollowedByFlagNotConsumed) {
   EXPECT_EQ(flags.GetInt("count", 0), 3);
 }
 
+// Numeric values parse whole: a bad one is reported through ok() and
+// bad_flag(), and the accessor falls back to its default — no exception, no
+// truncation, no wrap-around.
+TEST(Flags, NonNumericIntIsBad) {
+  const Flags flags = Parse({"--id=x", "--port=7001"});
+  EXPECT_EQ(flags.GetInt("port", 0), 7001);
+  EXPECT_TRUE(flags.ok());
+  EXPECT_EQ(flags.GetInt("id", 7), 7);
+  EXPECT_FALSE(flags.ok());
+  EXPECT_EQ(flags.bad_flag(), "id");
+}
+
+TEST(Flags, IntWithTrailingCharactersIsBad) {
+  const Flags flags = Parse({"--count=12x"});
+  EXPECT_EQ(flags.GetInt("count", 1), 1);
+  EXPECT_EQ(flags.bad_flag(), "count");
+}
+
+TEST(Flags, EmptyIntIsBad) {
+  const Flags flags = Parse({"--count="});
+  EXPECT_EQ(flags.GetInt("count", 1), 1);
+  EXPECT_FALSE(flags.ok());
+}
+
+TEST(Flags, IntOverflowIsBad) {
+  const Flags flags = Parse({"--count=99999999999999999999"});
+  EXPECT_EQ(flags.GetInt("count", 1), 1);
+  EXPECT_FALSE(flags.ok());
+}
+
+TEST(Flags, IntOutsideItsRangeIsBadNotWrapped) {
+  const Flags flags = Parse({"--id=99999999999", "--peer=2147483647"});
+  EXPECT_EQ(flags.GetInt("peer", 0, 1, 2147483647), 2147483647);
+  EXPECT_TRUE(flags.ok());
+  EXPECT_EQ(flags.GetInt("id", 0, 1, 2147483647), 0);
+  EXPECT_EQ(flags.bad_flag(), "id");
+}
+
+TEST(Flags, NegativeIntBelowItsRangeIsBad) {
+  const Flags flags = Parse({"--count=-1"});
+  EXPECT_EQ(flags.GetInt("count", 5), -1);  // no range given: -1 is a value
+  EXPECT_TRUE(flags.ok());
+  EXPECT_EQ(flags.GetInt("count", 5, 0, 100), 5);
+  EXPECT_FALSE(flags.ok());
+}
+
+TEST(Flags, BadDoublesAreBad) {
+  for (const char* value : {"abc", "1.5x", "", "inf", "nan"}) {
+    SCOPED_TRACE(value);
+    const Flags flags = Parse({std::string("--rate=") + value});
+    EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.5), 0.5);
+    EXPECT_EQ(flags.bad_flag(), "rate");
+  }
+}
+
+TEST(Flags, FirstBadFlagIsTheOneNamed) {
+  const Flags flags = Parse({"--a=x", "--b=y"});
+  flags.GetInt("b", 0);
+  flags.GetInt("a", 0);
+  EXPECT_EQ(flags.bad_flag(), "b");
+}
+
 // Whether ParseEndpoints accepts `spec`; a rejected list must leave the
 // output as it was.
 bool ParsesEndpoints(const std::string& spec) {
@@ -76,11 +138,12 @@ bool ParsesPort(const std::string& text) {
 
 TEST(ParseEndpoints, ReadsEveryEntry) {
   std::map<NodeId, net::Endpoint> out;
-  ASSERT_TRUE(net::ParseEndpoints("2=127.0.0.1:7002,3=host-3:65535,2147483647=h:1", &out));
+  ASSERT_TRUE(net::ParseEndpoints("2=127.0.0.1:7002,3=10.0.0.3:65535,2147483647=10.0.0.9:1",
+                                  &out));
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2].host, "127.0.0.1");
   EXPECT_EQ(out[2].port, 7002);
-  EXPECT_EQ(out[3].host, "host-3");
+  EXPECT_EQ(out[3].host, "10.0.0.3");
   EXPECT_EQ(out[3].port, 65535);
   EXPECT_EQ(out[2147483647].port, 1);
 }
@@ -111,6 +174,13 @@ TEST(ParseEndpoints, RejectsADuplicateId) {
   EXPECT_FALSE(ParsesEndpoints("2=127.0.0.1:7002,2=127.0.0.1:7003"));
 }
 TEST(ParseEndpoints, RejectsAnEmptyItem) { EXPECT_FALSE(ParsesEndpoints("2=127.0.0.1:7002,")); }
+// The transport dials IPv4 literals only; a name would be accepted and never
+// dialled.
+TEST(ParseEndpoints, RejectsAHostName) { EXPECT_FALSE(ParsesEndpoints("2=localhost:7002")); }
+TEST(ParseEndpoints, RejectsAnIpv6Literal) { EXPECT_FALSE(ParsesEndpoints("2=::1:7002")); }
+TEST(ParseEndpoints, RejectsAnIncompleteIpv4Address) {
+  EXPECT_FALSE(ParsesEndpoints("2=127.0.1:7002"));
+}
 
 TEST(ParsePort, AcceptsZeroThroughMax) {
   uint16_t port = 1;

@@ -3,6 +3,10 @@
 // recovery policy, and the wal_inspect dump format (golden output).
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <random>
@@ -275,7 +279,179 @@ TEST(FaultFs, CorruptByteFlipsInPlace) {
   EXPECT_EQ(got, Bytes({0x00, 0xf0}));
 }
 
+// Each handle writes at its own position, so zeros laid ahead by a growing
+// TruncateFile are overwritten in place. A power loss puts back what the
+// last Sync() saw: synced zeros survive under unsynced overwrites, and
+// unsynced growth is dropped, so the file is never shorter than when synced.
+TEST(FaultFs, PowerLossRestoresSyncedZerosUnderUnsyncedWrites) {
+  FaultFs fs;
+  auto f = fs.OpenAppend("/f");
+  ASSERT_TRUE(f->Append(Bytes({1, 2, 3}).data(), 3));
+  ASSERT_TRUE(fs.TruncateFile("/f", 8));  // zeros laid ahead
+  ASSERT_TRUE(f->Sync());
+  ASSERT_TRUE(f->Append(Bytes({4, 5}).data(), 2));  // lands inside the zeros
+  EXPECT_EQ(f->size(), 5u);
+  ASSERT_TRUE(fs.TruncateFile("/f", 12));  // unsynced growth
+
+  std::vector<uint8_t> got;
+  auto killed = fs.CutAtOp(fs.journal_ops());
+  ASSERT_TRUE(killed->ReadFileBytes("/f", &got));
+  EXPECT_EQ(got, Bytes({1, 2, 3, 4, 5, 0, 0, 0, 0, 0, 0, 0}));
+
+  auto power_loss = fs.CutAtOp(fs.journal_ops(), /*drop_unsynced=*/true);
+  ASSERT_TRUE(power_loss->ReadFileBytes("/f", &got));
+  EXPECT_EQ(got, Bytes({1, 2, 3, 0, 0, 0, 0, 0}));
+
+  // A second handle opens at the physical end, past the zeros.
+  EXPECT_EQ(fs.OpenAppend("/f")->size(), 12u);
+}
+
 // --- SegmentedWal ----------------------------------------------------------
+
+// Padding is all zeros, and an all-zero frame (type 0, length 0, CRC 0) can
+// never pass the CRC, so replay always stops where the padding starts.
+TEST(SegmentedWal, AllZeroFrameNeverPassesCrc) {
+  const uint8_t zeros[wal::kRecordFrameBytes] = {};
+  EXPECT_NE(wal::Crc32c(zeros, 1 + 4), util::GetU32(zeros + 5));
+  EXPECT_NE(wal::Crc32cBitwise(zeros, 1 + 4), 0u);
+}
+
+// The mechanism: once a commit has laid a chunk of zeros, the commits that
+// land inside it neither grow the file nor allocate blocks, so their
+// fdatasync has no size or extent change to persist.
+TEST(SegmentedWal, CommitsInsideOneChunkKeepFileSizeAndBlocks) {
+  const std::string dir = ::testing::TempDir() + "/opx_pad_" + std::to_string(getpid());
+  std::string error;
+  auto w = SegmentedWal::CreateFresh(wal::PosixEnv(), dir, {}, &error);
+  ASSERT_NE(w, nullptr) << error;
+  const std::string path = dir + "/" + wal::SegmentFileName(1);
+  const std::vector<uint8_t> p(100, 7);
+  w->AppendRecord(1, p.data(), p.size());
+  ASSERT_TRUE(w->Commit());
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  for (int i = 0; i < 100; ++i) {  // ~11 KB, well inside the first chunk
+    w->AppendRecord(1, p.data(), p.size());
+    ASSERT_TRUE(w->Commit());
+  }
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_size, before.st_size);
+  EXPECT_EQ(after.st_blocks, before.st_blocks);
+  w.reset();
+  std::vector<std::string> names;
+  ASSERT_TRUE(wal::PosixEnv()->ListDir(dir, &names));
+  for (const std::string& name : names) {
+    wal::PosixEnv()->DeleteFile(dir + "/" + name);
+  }
+  ::rmdir(dir.c_str());
+}
+
+// Zeros after the last record are a clean end: every record replays, the
+// dump reports the padding but no problem, and the reopened WAL resumes at
+// the logical end.
+TEST(SegmentedWal, ZeroPaddingIsACleanEnd) {
+  FaultFs fs;
+  std::string error;
+  auto w = SegmentedWal::CreateFresh(&fs, kDir, {}, &error);
+  ASSERT_NE(w, nullptr) << error;
+  const std::vector<uint8_t> p = Bytes({1, 2, 3});
+  w->AppendRecord(7, p.data(), p.size());
+  ASSERT_TRUE(w->Commit());
+  const uint64_t logical_end = w->active_size();
+  w.reset();
+  const std::string path = std::string(kDir) + "/" + wal::SegmentFileName(1);
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(fs.ReadFileBytes(path, &bytes));
+  ASSERT_EQ(bytes.size(), wal::kSegmentPadBytes);
+  EXPECT_TRUE(std::all_of(bytes.begin() + static_cast<ptrdiff_t>(logical_end), bytes.end(),
+                          [](uint8_t b) { return b == 0; }));
+
+  std::ostringstream out;
+  EXPECT_EQ(wal::DumpWal(&fs, kDir, {}, nullptr, out), 0) << out.str();
+  EXPECT_NE(out.str().find("padding: " + std::to_string(bytes.size() - logical_end) +
+                           " zero bytes at @" + std::to_string(logical_end)),
+            std::string::npos)
+      << out.str();
+
+  std::vector<Replayed> recs;
+  auto r = SegmentedWal::Open(&fs, kDir, {}, Collect(&recs), &error);
+  ASSERT_NE(r, nullptr) << error;
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(r->active_size(), logical_end);
+  r->AppendRecord(8, p.data(), p.size());
+  ASSERT_TRUE(r->Commit());
+  r.reset();
+  recs.clear();
+  ASSERT_NE(SegmentedWal::Open(&fs, kDir, {}, Collect(&recs), &error), nullptr) << error;
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[1].type, 8);
+}
+
+// A crash mid-commit leaves a torn frame at the logical end with the zeros
+// still behind it: a torn tail, cut like any other.
+TEST(SegmentedWal, TornRecordInsidePaddingIsCut) {
+  FaultFs fs;
+  std::string error;
+  auto w = SegmentedWal::CreateFresh(&fs, kDir, {}, &error);
+  ASSERT_NE(w, nullptr) << error;
+  const std::vector<uint8_t> p = Bytes({1, 2, 3});
+  w->AppendRecord(7, p.data(), p.size());
+  ASSERT_TRUE(w->Commit());
+  w->AppendRecord(8, p.data(), p.size());
+  ASSERT_TRUE(w->Commit());
+  const uint64_t logical_end = w->active_size();
+  w.reset();
+  // Damage the second record's last payload byte: a bad frame followed by
+  // zeros.
+  const std::string path = std::string(kDir) + "/" + wal::SegmentFileName(1);
+  ASSERT_TRUE(fs.CorruptByte(path, logical_end - 5));
+  std::ostringstream out;
+  EXPECT_GE(wal::DumpWal(&fs, kDir, {}, nullptr, out), 1);
+  EXPECT_NE(out.str().find("torn tail"), std::string::npos) << out.str();
+
+  std::vector<Replayed> recs;
+  auto r = SegmentedWal::Open(&fs, kDir, {}, Collect(&recs), &error);
+  ASSERT_NE(r, nullptr) << error;
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].type, 7);
+}
+
+// A CRC-valid frame lying behind a torn one (say, the later page of a commit
+// whose earlier page never landed) is never replayed: recovery stops at the
+// torn frame and cuts everything after it, so records written later cannot
+// end up in front of it either.
+TEST(SegmentedWal, ValidFrameBehindTornOneIsNeverReplayed) {
+  FaultFs fs;
+  fs.CreateDir(kDir);
+  std::vector<uint8_t> seg = SegmentHeaderBytes(1);
+  FrameRecordBytes(&seg, 1, Bytes({0x11}));
+  std::vector<uint8_t> torn;
+  FrameRecordBytes(&torn, 2, Bytes({0x22, 0x22, 0x22, 0x22}));
+  torn.back() ^= 0x01;
+  seg.insert(seg.end(), torn.begin(), torn.end());
+  FrameRecordBytes(&seg, 3, Bytes({0x33}));  // CRC-valid, behind the torn one
+  seg.resize(seg.size() + 64, 0);            // and the padding
+  const std::string path = std::string(kDir) + "/" + wal::SegmentFileName(1);
+  WriteWholeFile(&fs, path, seg);
+
+  std::vector<Replayed> recs;
+  std::string error;
+  auto r = SegmentedWal::Open(&fs, kDir, {}, Collect(&recs), &error);
+  ASSERT_NE(r, nullptr) << error;
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].type, 1);
+  const std::vector<uint8_t> p = Bytes({0x44});
+  r->AppendRecord(4, p.data(), p.size());
+  ASSERT_TRUE(r->Commit());
+  r.reset();
+
+  recs.clear();
+  ASSERT_NE(SegmentedWal::Open(&fs, kDir, {}, Collect(&recs), &error), nullptr) << error;
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].type, 1);
+  EXPECT_EQ(recs[1].type, 4);
+}
 
 TEST(SegmentedWal, RoundTripsRecordsThroughRecovery) {
   FaultFs fs;
@@ -325,6 +501,7 @@ TEST(SegmentedWal, AppendRecordInPlaceMatchesAppendRecord) {
     ASSERT_TRUE(w->Commit());
     ASSERT_TRUE(fs.ReadFileBytes(std::string(kDir) + "/" + wal::SegmentFileName(1),
                                  &images[in_place]));
+    images[in_place].resize(w->active_size());  // the records, not the padding
   }
   EXPECT_EQ(images[0], images[1]);
   EXPECT_EQ(images[0].size(), wal::kSegmentHeaderSize + 3 * wal::kRecordFrameBytes + 6 + 5 + 4);
@@ -380,10 +557,13 @@ TEST(SegmentedWal, TornTailIsTruncatedAndWritesResume) {
   const std::vector<uint8_t> p = Bytes({1, 2, 3});
   w->AppendRecord(7, p.data(), p.size());
   ASSERT_TRUE(w->Commit());
+  const uint64_t logical_end = w->active_size();
   w.reset();
 
-  // A crash mid-append leaves garbage after the last full record.
+  // A crash mid-append leaves garbage after the last full record (here in
+  // place of the zero padding; TornRecordInsidePaddingIsCut keeps it).
   const std::string path = std::string(kDir) + "/" + wal::SegmentFileName(1);
+  ASSERT_TRUE(fs.TruncateFile(path, logical_end));
   auto f = fs.OpenAppend(path);
   const std::vector<uint8_t> junk = Bytes({9, 9, 9});
   ASSERT_TRUE(f->Append(junk.data(), junk.size()));

@@ -321,6 +321,11 @@ int Main(int argc, char** argv) {
   opt.trim_watermark = static_cast<uint64_t>(flags.GetInt("trim-watermark", 0));
   opt.read_fraction = flags.GetDouble("read-fraction", 0.0);
   opt.wal = flags.GetBool("wal", false);
+  if (!flags.ok()) {
+    std::fprintf(stderr, "chaos_fuzz: bad value for --%s (see --help)\n",
+                 flags.bad_flag().c_str());
+    return 2;
+  }
   if (!opt.mutant.empty() && opt.mutant != "stuck-link") {
     std::fprintf(stderr, "unknown --mutant=%s\n", opt.mutant.c_str());
     return 2;

@@ -4,6 +4,7 @@
 //   omni_client --servers=... --status
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "src/net/omni_client.h"
@@ -13,7 +14,9 @@ int main(int argc, char** argv) {
   using namespace opx;
   Flags flags(argc, argv);
   std::map<NodeId, net::Endpoint> servers;
-  if (flags.GetBool("help", false) ||
+  const int count =
+      static_cast<int>(flags.GetInt("count", 10, 0, std::numeric_limits<int>::max()));
+  if (flags.GetBool("help", false) || !flags.ok() ||
       !net::ParseEndpoints(flags.GetString("servers", ""), &servers)) {
     std::printf(
         "usage: omni_client --servers=ID=HOST:PORT,... [--count=N] [--status]\n");
@@ -39,7 +42,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const int count = static_cast<int>(flags.GetInt("count", 10));
   const auto start = std::chrono::steady_clock::now();
   for (int i = 1; i <= count; ++i) {
     if (!client.AppendAndWait(static_cast<uint64_t>(i), 8, Seconds(10))) {

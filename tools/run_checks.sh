@@ -233,9 +233,11 @@ if [ "${1:-}" = "--wal-smoke" ]; then
 
   step "WAL + durable-storage tiers under ASan (crash matrix at every byte offset)"
   # TcpRuntime.* runs the WAL-backed server, the only one that holds votes
-  # back until its group commit.
+  # back until its group commit. ServerStart.*, OmniNodeTool.* and
+  # WalInspectTool.* check how a WAL that cannot be opened stops the server
+  # and that wal_inspect only writes with --repair.
   if "$ASAN/tests/opx_tests" \
-      --gtest_filter='SegmentedWal.*:FaultFs.*:WalInspect.*:DurableStorage*.*:TcpRuntime.*'; then
+      --gtest_filter='SegmentedWal.*:FaultFs.*:WalInspect.*:DurableStorage*.*:TcpRuntime.*:ServerStart.*:OmniNodeTool.*:WalInspectTool.*'; then
     echo "ok"
   else
     echo "WAL test tier FAILED"

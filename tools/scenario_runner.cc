@@ -24,6 +24,19 @@
 namespace opx {
 namespace {
 
+constexpr char kUsage[] =
+    "usage: scenario_runner --protocol=P --scenario=S [options]\n"
+    "  P: omnipaxos | raft | raft-pvcq | vr | multipaxos\n"
+    "  S: none | quorum-loss | constrained | chained\n"
+    "  options: --servers --timeout-ms --cp --duration-s --partition-s --rate --seed --wan "
+    "--audit\n";
+
+int BadFlag(const Flags& flags) {
+  std::fprintf(stderr, "scenario_runner: bad value for --%s\n%s", flags.bad_flag().c_str(),
+               kUsage);
+  return 2;
+}
+
 template <typename Node>
 int RunNone(const Flags& flags) {
   rsm::NormalConfig cfg;
@@ -36,6 +49,9 @@ int RunNone(const Flags& flags) {
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   cfg.proposal_rate = flags.GetDouble("rate", 50'000.0);
   cfg.audit = flags.GetBool("audit", true);
+  if (!flags.ok()) {
+    return BadFlag(flags);
+  }
   if (cfg.wan && cfg.election_timeout < Millis(300)) {
     std::fprintf(stderr, "note: raising election timeout to 500 ms (> WAN RTT)\n");
     cfg.election_timeout = Millis(500);
@@ -60,6 +76,9 @@ int RunScenario(const Flags& flags, rsm::Scenario scenario) {
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   cfg.proposal_rate = flags.GetDouble("rate", 50'000.0);
   cfg.audit = flags.GetBool("audit", true);
+  if (!flags.ok()) {
+    return BadFlag(flags);
+  }
   const rsm::PartitionResult r = rsm::RunPartition<Node>(cfg);
   std::printf("scenario:          %s\n", rsm::ScenarioName(scenario).c_str());
   std::printf("recovered:         %s\n", r.recovered ? "yes (progress during partition)"
@@ -97,11 +116,7 @@ int main(int argc, char** argv) {
   using namespace opx;
   Flags flags(argc, argv);
   if (flags.GetBool("help", false)) {
-    std::printf(
-        "usage: scenario_runner --protocol=P --scenario=S [options]\n"
-        "  P: omnipaxos | raft | raft-pvcq | vr | multipaxos\n"
-        "  S: none | quorum-loss | constrained | chained\n"
-        "  options: --servers --timeout-ms --cp --duration-s --partition-s --rate --seed --wan --audit\n");
+    std::printf("%s", kUsage);
     return 0;
   }
   const std::string protocol = flags.GetString("protocol", "omnipaxos");

@@ -2,33 +2,74 @@
 // recovers to.
 //
 //   wal_inspect /var/lib/omnipaxos/node1 [--records] [--verify-crc]
-//               [--entries] [--tail=N] [--no-recover]
+//               [--entries] [--tail=N] [--no-recover] [--repair]
 //
 // The physical dump (per-segment header check, record listing, torn-tail and
 // CRC diagnostics) never replays anything, so it works on journals too
-// damaged to recover. Exit status: 0 clean, 1 physical problems found,
-// 2 usage, 3 recovery refused (corrupt chain).
+// damaged to recover. Recovery runs on an in-memory copy of the directory,
+// so inspecting never changes it — not even the journal of a live node;
+// only --repair recovers in place, which cuts a torn tail (and the zero
+// padding) and deletes leftover .tmp files. Exit status: 0 clean, 1
+// physical problems found, 2 usage, 3 recovery refused (corrupt chain).
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/omnipaxos/durable_storage.h"
 #include "src/util/flags.h"
+#include "src/wal/fault_fs.h"
 #include "src/wal/inspect.h"
+
+namespace {
+
+constexpr char kUsage[] =
+    "usage: wal_inspect DIR [--records] [--verify-crc] [--entries] "
+    "[--tail=N] [--no-recover] [--repair]\n"
+    "  --records     list every record (offset, type, len, crc, decoded)\n"
+    "  --verify-crc  count per-record CRC failures per segment\n"
+    "  --entries     print the recovered log entries\n"
+    "  --tail=N      with --entries, only the last N entries\n"
+    "  --no-recover  physical dump only (works on corrupt journals)\n"
+    "  --repair      recover in place: cut a torn tail, delete .tmp files\n"
+    "                (without it DIR is only read)\n";
+
+// Copies the plain files of `dir` into `fs`, so recovery can run on them
+// without writing to the disk.
+void LoadDir(const std::string& dir, opx::wal::FaultFs* fs) {
+  opx::wal::Env* disk = opx::wal::PosixEnv();
+  std::vector<std::string> names;
+  if (!disk->ListDir(dir, &names)) {
+    return;
+  }
+  fs->CreateDir(dir);
+  std::vector<uint8_t> bytes;
+  for (const std::string& name : names) {
+    if (disk->ReadFileBytes(dir + "/" + name, &bytes)) {
+      fs->OpenAppend(dir + "/" + name)->Append(bytes.data(), bytes.size());
+    }
+  }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace opx;
   Flags flags(argc, argv);
-  if (flags.positional().empty() || flags.GetBool("help", false)) {
-    std::printf(
-        "usage: wal_inspect DIR [--records] [--verify-crc] [--entries] "
-        "[--tail=N] [--no-recover]\n"
-        "  --records     list every record (offset, type, len, crc, decoded)\n"
-        "  --verify-crc  count per-record CRC failures per segment\n"
-        "  --entries     print the recovered log entries\n"
-        "  --tail=N      with --entries, only the last N entries\n"
-        "  --no-recover  physical dump only (works on corrupt journals)\n");
-    return flags.GetBool("help", false) ? 0 : 2;
+  if (flags.GetBool("help", false)) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
+  const uint64_t tail = static_cast<uint64_t>(flags.GetInt("tail", 0, 0));
+  if (!flags.ok()) {
+    std::fprintf(stderr, "wal_inspect: bad value for --%s\n%s", flags.bad_flag().c_str(),
+                 kUsage);
+    return 2;
+  }
+  if (flags.positional().empty()) {
+    std::fprintf(stderr, "%s", kUsage);
+    return 2;
   }
   const std::string dir = flags.positional()[0];
 
@@ -42,8 +83,14 @@ int main(int argc, char** argv) {
     return problems > 0 ? 1 : 0;
   }
 
+  wal::FaultFs copy;
+  wal::Env* env = wal::PosixEnv();
+  if (!flags.GetBool("repair", false)) {
+    LoadDir(dir, &copy);
+    env = &copy;
+  }
   std::string error;
-  auto storage = omni::DurableStorage::Recover(wal::PosixEnv(), dir, {}, &error);
+  auto storage = omni::DurableStorage::Recover(env, dir, {}, &error);
   if (storage == nullptr) {
     if (error.empty()) {
       std::printf("recovered state: none (no WAL segments)\n");
@@ -79,7 +126,6 @@ int main(int argc, char** argv) {
               commands, payload_bytes, stop_signs);
 
   if (flags.Has("entries") || flags.Has("tail")) {
-    const uint64_t tail = static_cast<uint64_t>(flags.GetInt("tail", 0));
     LogIndex from = storage->compacted_idx();
     if (tail > 0 && storage->log_len() - from > tail) {
       from = storage->log_len() - tail;
