@@ -30,6 +30,10 @@ class OmniClient {
   // Connects to some server. False if nobody accepts within the deadline.
   bool Connect(Time deadline = Seconds(5));
 
+  // Connects to server `id`, dropping any current connection. False if `id`
+  // is not one of `servers` or refuses the connection.
+  bool ConnectTo(NodeId id);
+
   // Appends one command and returns once it is decided (or deadline passes).
   bool AppendAndWait(uint64_t cmd_id, uint32_t payload_bytes = 8,
                      Time deadline = Seconds(5));
@@ -58,7 +62,6 @@ class OmniClient {
   uint64_t decided_count() const { return decided_.size(); }
 
  private:
-  bool ConnectTo(NodeId id);
   bool SendFrame(const uint8_t* payload, size_t len);
   // Reads one frame (blocking up to deadline); false on timeout/disconnect.
   bool ReadFrame(std::vector<uint8_t>* frame, Time deadline);

@@ -99,21 +99,37 @@ bool OmniTcpServer::Start() {
   }
   // Election ticks ride a timerfd in the transport's epoll wait; missed
   // periods coalesce into one firing (the old loop's catch-up reset).
-  tick_timer_ = transport_->loop().AddTimer(options_.election_timeout, [this] {
-    // Push already-decided entries to clients before the tick: TickElection
-    // may auto-trim up to the decided index, and a trimmed entry can no
-    // longer be read back for the 0x02 batch.
-    Pump();
-    node_->TickElection();
-    Pump();
-  });
+  tick_timer_ = transport_->loop().AddTimer(options_.election_timeout, [this] { Tick(); });
   return tick_timer_ >= 0;
+}
+
+void OmniTcpServer::Tick() {
+  // Push already-decided entries to clients before the tick: TickElection
+  // may auto-trim up to the decided index, and a trimmed entry can no
+  // longer be read back for the 0x02 batch.
+  Pump();
+  node_->TickElection();
+  Pump();
+  round1_started_ = true;
 }
 
 void OmniTcpServer::StepOnce(int timeout_ms) {
   // The tick timerfd interrupts the wait, so the full timeout is available;
   // Poll() ends with a flush, and the trailing one covers this Pump.
   transport_->Poll(timeout_ms);
+  // Heartbeat round 1 starts as soon as every peer can both hear our
+  // requests and answer them, and the timer restarts, so round 1 lasts a
+  // full period and a fresh cluster elects one period after its links come
+  // up. With a peer down, the first tick starts round 1.
+  if (!round1_started_ && transport_->AllLinksUp()) {
+    const int restarted =
+        transport_->loop().AddTimer(options_.election_timeout, [this] { Tick(); });
+    if (restarted >= 0) {  // else the old timer, and its phase, stay
+      transport_->loop().CancelTimer(tick_timer_);
+      tick_timer_ = restarted;
+    }
+    Tick();
+  }
   Pump();
   transport_->Flush();
   if (durable_ == nullptr) {

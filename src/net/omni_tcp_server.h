@@ -19,6 +19,12 @@
 // transport at once, so followers sync a batch while the leader syncs it;
 // Promise, Accepted and every other peer message are held until the commit.
 // The leader counts its own acceptance only after the commit (OnDurable).
+//
+// BLE heartbeat round 1 starts on the first pass on which every peer link is
+// up in both directions, or at the first election tick if that comes first.
+// An early start restarts the election timer, so round 1 lasts a full
+// period and a fresh cluster elects its first leader one election timeout
+// after its links come up (DESIGN.md §14).
 #ifndef SRC_NET_OMNI_TCP_SERVER_H_
 #define SRC_NET_OMNI_TCP_SERVER_H_
 
@@ -92,6 +98,9 @@ class OmniTcpServer {
   LogIndex decided_idx() const { return node_->decided_idx(); }
 
  private:
+  // One heartbeat period: what the election timer runs, and what starts
+  // round 1 early once every peer link is up (DESIGN.md §14).
+  void Tick();
   void OnPeerMessage(NodeId from, omni::OmniMessage msg);
   void OnClientFrame(uint64_t client, const uint8_t* data, size_t len);
   void Pump();
@@ -110,6 +119,7 @@ class OmniTcpServer {
   std::set<NodeId> held_to_;          // peers with a message in held_
   LogIndex pushed_ = 0;   // decided entries already pushed to clients
   int tick_timer_ = -1;   // election timerfd inside the transport's loop
+  bool round1_started_ = false;  // a Tick() has run
 #if defined(OPX_OBS_ENABLED)
   obs::Counter* lease_reads_ctr_ = nullptr;
 #endif

@@ -50,6 +50,10 @@ void SetNoDelay(int fd) {
 // already >98% and the iovec array stays cache-resident on the stack.
 constexpr size_t kMaxIov = 64;
 
+// How long a dropped outbound link waits before the sweep redials it, unless
+// the peer's hello redials it first.
+constexpr Time kRedialBackoff = Millis(200);
+
 }  // namespace
 
 bool ParsePort(std::string_view text, uint16_t* port) {
@@ -244,14 +248,14 @@ void TcpTransport::StartConnect(NodeId peer) {
     close(fd);
     conn->fd = -1;
     conn->closed = true;
-    conn->retry_at = MonotonicNow() + Millis(200);
+    conn->retry_at = MonotonicNow() + kRedialBackoff;
   }
   Connection* raw = conn.get();
   if (raw->fd >= 0 && !loop_.Add(raw->fd, [this, raw](uint32_t bits) { OnIo(*raw, bits); })) {
     close(raw->fd);
     raw->fd = -1;
     raw->closed = true;
-    raw->retry_at = MonotonicNow() + Millis(200);
+    raw->retry_at = MonotonicNow() + kRedialBackoff;
   }
   connections_.push_back(std::move(conn));
   outbound_[peer] = raw;
@@ -336,6 +340,19 @@ bool TcpTransport::PeerConnected(NodeId peer) const {
   auto it = outbound_.find(peer);
   return it != outbound_.end() && !it->second->closed && !it->second->connecting &&
          it->second->hello_sent;
+}
+
+bool TcpTransport::HasInboundSession(NodeId peer) const {
+  return std::any_of(connections_.begin(), connections_.end(),
+                     [peer](const std::unique_ptr<Connection>& c) {
+                       return !c->outbound && !c->closed && c->peer == peer;
+                     });
+}
+
+bool TcpTransport::AllLinksUp() const {
+  return std::all_of(peers_.begin(), peers_.end(), [this](const auto& entry) {
+    return PeerConnected(entry.first) && HasInboundSession(entry.first);
+  });
 }
 
 void TcpTransport::Poll(int timeout_ms) {
@@ -513,7 +530,23 @@ void TcpTransport::OnFrame(Connection& conn, const uint8_t* data, size_t len) {
       for (int i = 0; i < 4; ++i) {
         id |= static_cast<uint32_t>(data[1 + i]) << (8 * i);
       }
-      conn.peer = static_cast<NodeId>(id);
+      const auto peer = static_cast<NodeId>(id);
+      // Only a configured peer may speak the protocol: any other sender's
+      // Prepare would raise our promise, and its replies would count toward
+      // our majorities.
+      if (peer == self_ || !peers_.contains(peer)) {
+        OPX_WLOG << "closing a connection whose hello names peer " << peer
+                 << ", which is not in the peer list";
+        CloseConnection(conn);
+        return;
+      }
+      conn.peer = peer;
+      // The hello proves the peer is listening: redial a down link to it now
+      // instead of at the end of its backoff.
+      const auto it = outbound_.find(peer);
+      if (it == outbound_.end() || it->second->closed) {
+        StartConnect(peer);
+      }
       return;
     }
     if (len >= 1 && data[0] == kHelloClient) {
@@ -557,7 +590,7 @@ void TcpTransport::CloseConnection(Connection& conn) {
   conn.connecting = false;
   conn.sendq.Clear(&pool_);
   conn.reader.Clear();
-  conn.retry_at = MonotonicNow() + Millis(200);
+  conn.retry_at = MonotonicNow() + kRedialBackoff;
   if (met_.conns_closed != nullptr) {
     met_.conns_closed->Inc();
   }

@@ -3,9 +3,15 @@
 // Topology: every server listens on one port. For each peer, a server keeps
 // ONE outbound connection used exclusively for sending protocol messages to
 // that peer; inbound connections are receive-only and identified by a hello
-// frame. Outbound connections reconnect with backoff; a successful
-// (re-)connect after a drop raises the reconnect callback — the same cue the
-// paper derives from TCP session re-establishment (§4.1.3).
+// frame. A successful (re-)connect raises the reconnect callback — the same
+// cue the paper derives from TCP session re-establishment (§4.1.3).
+//
+// Link establishment (DESIGN.md §14): a dropped outbound link is redialed by
+// a 50 ms sweep once a 200 ms backoff has passed. A peer's hello on an
+// inbound connection proves it is listening (Start listens before it dials),
+// so a down link to it is redialed at once. A hello from an id outside the
+// configured peers, or from our own id, closes the connection before any of
+// its frames reaches the message handler.
 //
 // Framing: [u32 length][payload]. The first frame on any connection is a
 // hello: [u8 kind][u32 id] (kind: peer server or client). Subsequent frames
@@ -146,7 +152,12 @@ class TcpTransport {
 
   void Stop();
 
+  // Our outbound link to `peer` is up and has sent its hello.
   bool PeerConnected(NodeId peer) const;
+
+  // Every peer link is up in both directions: our outbound link to each peer
+  // has sent its hello, and an open inbound session from it has sent one.
+  bool AllLinksUp() const;
 
   // The readiness core, exposed so the owning server can hang its own
   // timerfds (election tick) on the same wait.
@@ -169,6 +180,7 @@ class TcpTransport {
   void FlushConn(Connection& conn);
   void MarkDirty(Connection& conn);
   void ReconnectSweep();
+  bool HasInboundSession(NodeId peer) const;
 
   NodeId self_;
   uint16_t listen_port_;

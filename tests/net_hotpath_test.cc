@@ -1,8 +1,9 @@
 // Unit + integration tests for the net hot path (DESIGN.md §14): framing
 // building blocks (FrameQueue/FrameReader partial-I/O resumption, small-reply
-// packing), the epoll readiness core, and a 64-connection multiplexing run
-// against a real three-server loopback cluster. Suite names contain "Tcp" so
-// the TSan smoke filter (*Tcp*) picks them up.
+// packing), the epoll readiness core, link establishment and peer hellos,
+// and a 64-connection multiplexing run against a real three-server loopback
+// cluster. Suite names contain "Tcp" so the TSan smoke filter (*Tcp*) picks
+// them up.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -16,6 +17,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +28,8 @@
 #include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
 #include "src/net/tcp_transport.h"
+#include "src/omnipaxos/codec.h"
+#include "src/util/le_bytes.h"
 #include "tests/tcp_cluster.h"
 
 namespace opx {
@@ -541,19 +546,27 @@ bool WriteFrame(int fd, std::vector<uint8_t> payload) {
   return write(fd, frame.data(), frame.size()) == static_cast<ssize_t>(frame.size());
 }
 
-// A blocking client socket connected to `port` that has sent its hello.
-int ConnectClient(uint16_t port) {
+// A blocking socket connected to `port` that has sent the hello frame whose
+// payload is `hello`, followed in the same write by the bytes `after`.
+int ConnectWithHello(uint16_t port, const std::vector<uint8_t>& hello,
+                     const std::vector<uint8_t>& after = {}) {
   const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
+  std::vector<uint8_t> bytes(4);
+  bytes.insert(bytes.end(), hello.begin(), hello.end());
+  net::PatchFrameLength(&bytes, 0);
+  bytes.insert(bytes.end(), after.begin(), after.end());
   if (fd < 0 || connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      !WriteFrame(fd, {net::kHelloClient})) {
-    ADD_FAILURE() << "cannot connect a client to port " << port;
+      write(fd, bytes.data(), bytes.size()) != static_cast<ssize_t>(bytes.size())) {
+    ADD_FAILURE() << "cannot connect and say hello to port " << port;
   }
   return fd;
 }
+
+int ConnectClient(uint16_t port) { return ConnectWithHello(port, {net::kHelloClient}); }
 
 int Unread(int fd) {
   int n = 0;
@@ -608,6 +621,109 @@ TEST(TcpFlushHook, FrameQueuedEarlierInTheSameDispatchWaitsForTheHook) {
   EXPECT_EQ(Unread(b), 5);
   close(a);
   close(b);
+}
+
+// --- TcpTransport: link establishment and peer hellos (DESIGN.md §14) ------
+
+Time Now() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// Polls each transport in turn (1 ms waits) until `done()` holds or `limit`
+// has passed; returns how long that took.
+template <typename Done>
+Time PollUntil(std::initializer_list<net::TcpTransport*> transports, Time limit, Done&& done) {
+  const Time start = Now();
+  while (!done() && Now() - start < limit) {
+    for (net::TcpTransport* t : transports) {
+      t->Poll(1);
+    }
+  }
+  return Now() - start;
+}
+
+std::map<NodeId, Endpoint> Peer(NodeId id, uint16_t port) {
+  return {{id, Endpoint{"127.0.0.1", port}}};
+}
+
+// A socket that has said hello as peer `id`, then sent `frame` (a whole
+// [u32 len][payload] frame) in the same write.
+int ConnectPeer(uint16_t port, NodeId id, const std::vector<uint8_t>& frame = {}) {
+  std::vector<uint8_t> hello{net::kHelloPeer};
+  util::PutU32(&hello, static_cast<uint32_t>(id));
+  return ConnectWithHello(port, hello, frame);
+}
+
+// True once the other end has closed `fd` (EOF or reset).
+bool ClosedByPeer(int fd) {
+  uint8_t byte = 0;
+  const ssize_t n = recv(fd, &byte, 1, MSG_DONTWAIT);
+  return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+}
+
+// Transport A dials B before B listens, so A's link to B starts out in its
+// 200 ms backoff. Then B starts and dials A: B's hello proves that B
+// listens, and A redials at once. Lost binds are retried on fresh ports, as
+// TcpCluster does.
+TEST(TcpLinkSetup, DownLinkIsRedialedAtThePeersHello) {
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    const std::vector<uint16_t> ports = net::FreePorts(2);
+    ASSERT_EQ(ports.size(), 2u);
+    net::TcpTransport a(1, ports[0], Peer(2, ports[1]));
+    net::TcpTransport b(2, ports[1], Peer(1, ports[0]));
+    if (!a.Start()) {
+      continue;
+    }
+    PollUntil({&a}, Millis(5), [] { return false; });  // A's dial is refused
+    if (a.PeerConnected(2)) {
+      continue;  // another process listens on B's port
+    }
+    if (!b.Start()) {
+      continue;
+    }
+    const Time took = PollUntil({&a, &b}, Seconds(1), [&] { return a.PeerConnected(2); });
+    EXPECT_TRUE(a.PeerConnected(2));
+    EXPECT_LT(took, Millis(50)) << "A's link to B took " << took / 1'000'000
+                                << " ms from B's start, the hello did not redial it";
+    PollUntil({&a, &b}, Seconds(1), [&] { return a.AllLinksUp() && b.AllLinksUp(); });
+    EXPECT_TRUE(a.AllLinksUp());
+    EXPECT_TRUE(b.AllLinksUp());
+    return;
+  }
+  FAIL() << "could not bind two free ports";
+}
+
+// Only a configured peer may say hello as a peer. A connection that claims
+// an id outside the peer list, or the transport's own id, is closed, and the
+// protocol message that follows its hello never reaches the handler. The
+// same bytes from configured peer 2 do.
+TEST(TcpPeerHello, UnknownOrOwnIdIsClosedAndNeverHeard) {
+  const std::vector<uint16_t> ports = net::FreePorts(1);  // peer 2's, never listened on
+  ASSERT_EQ(ports.size(), 1u);
+  net::TcpTransport transport(1, 0, Peer(2, ports[0]));
+  ASSERT_TRUE(transport.Start());
+  std::vector<NodeId> heard;
+  transport.set_message_handler([&heard](NodeId from, omni::OmniMessage) {
+    heard.push_back(from);
+  });
+  std::vector<uint8_t> request;
+  omni::EncodeFrame(omni::OmniMessage{omni::BleMessage{omni::HeartbeatRequest{1}}}, &request);
+
+  for (const NodeId id : {NodeId{9}, NodeId{1}}) {
+    const int fd = ConnectPeer(transport.listen_port(), id, request);
+    PollUntil({&transport}, Seconds(2), [fd] { return ClosedByPeer(fd); });
+    EXPECT_TRUE(ClosedByPeer(fd)) << "hello as peer " << id << " was kept open";
+    close(fd);
+  }
+  EXPECT_TRUE(heard.empty()) << "a frame from peer " << heard.front() << " was handled";
+
+  const int fd = ConnectPeer(transport.listen_port(), 2, request);
+  PollUntil({&transport}, Seconds(2), [&heard] { return !heard.empty(); });
+  EXPECT_EQ(heard, std::vector<NodeId>{2});
+  EXPECT_FALSE(ClosedByPeer(fd));
+  close(fd);
 }
 
 // --- 64-connection multiplexing against a real loopback cluster -----------

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -43,6 +44,9 @@ struct TcpClusterOptions {
   Time election_timeout = Millis(30);
   uint64_t lease_rounds = 1;
   uint64_t trim_watermark = 0;  // ServerOptions::trim_watermark (0 = off)
+  // Server id's ServerOptions::obs is obs[id - 1]. A sink must outlive the
+  // cluster, and its server's thread writes it until StopServer(id).
+  std::array<obs::ObsSink*, 3> obs{};
 };
 
 class TcpCluster {
@@ -131,6 +135,7 @@ class TcpCluster {
       options.lease_rounds = opts_.lease_rounds;
       options.trim_watermark = opts_.trim_watermark;
       options.ble_priority = id == 1 ? 1 : 0;
+      options.obs = opts_.obs[static_cast<size_t>(id - 1)];
       if (!wal_root_.empty()) {
         options.wal_dir = wal_root_ + "/node" + std::to_string(id) + ".wal";
       }

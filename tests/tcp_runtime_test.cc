@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,6 +24,8 @@
 #include "src/net/client_wire.h"
 #include "src/net/frame_queue.h"
 #include "src/net/omni_client.h"
+#include "src/net/omni_tcp_server.h"
+#include "src/obs/trace.h"
 #include "src/util/le_bytes.h"
 #include "tests/tcp_cluster.h"
 
@@ -133,19 +138,127 @@ TEST(TcpRuntime, FollowerRedirectsToLeader) {
     ASSERT_TRUE(probe.GetStatus(&status, Seconds(5)));
   }
   ASSERT_NE(status.leader, kNoNode);
-  // Connect specifically to a follower and append: the redirect + retry path
-  // must still decide the command.
-  NodeId follower = kNoNode;
-  for (const auto& [id, endpoint] : cluster.endpoints()) {
-    if (id != status.leader) {
-      follower = id;
-      break;
-    }
-  }
-  std::map<NodeId, Endpoint> all = cluster.endpoints();
-  OmniClient client(all);
-  ASSERT_TRUE(client.Connect(Seconds(5)));
+  // Connect specifically to a follower and append: the follower's redirect
+  // must move the client to the leader, which decides the command.
+  const NodeId follower = status.leader == 1 ? 2 : 1;
+  OmniClient client(cluster.endpoints());
+  ASSERT_TRUE(client.ConnectTo(follower));
   EXPECT_TRUE(client.AppendAndWait(777, 8, Seconds(10)));
+  EXPECT_EQ(client.connected_to(), status.leader);
+}
+
+// A fresh cluster starts heartbeat round 1 as soon as every peer link is up
+// both ways, so all three servers elect their first leader at the end of
+// round 1, one election timeout later. A dial refused because the peer did
+// not listen yet is redialed at the peer's hello; otherwise its 200 ms
+// backoff would leave round 1 without a majority of replies. Each server's
+// first kBleLeader trace event carries the round that elected it.
+TEST(TcpRuntime, FirstLeaderIsElectedAtTheEndOfHeartbeatRoundOne) {
+#if !defined(OPX_OBS_ENABLED)
+  GTEST_SKIP() << "built with OPX_OBS=OFF; no trace to read";
+#else
+  std::array<obs::ObsSink, 3> sinks;
+  {
+    TcpCluster cluster({.election_timeout = Millis(200),
+                        .obs = {&sinks[0], &sinks[1], &sinks[2]}});
+    std::vector<std::unique_ptr<OmniClient>> probes;
+    for (const auto& [id, endpoint] : cluster.endpoints()) {
+      probes.push_back(std::make_unique<OmniClient>(std::map<NodeId, Endpoint>{{id, endpoint}}));
+    }
+    bool agreed = false;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!agreed && std::chrono::steady_clock::now() < deadline) {
+      std::set<NodeId> leaders;
+      for (auto& probe : probes) {
+        OmniClient::Status status;
+        leaders.insert(probe->GetStatus(&status, Seconds(5)) ? status.leader : kNoNode);
+      }
+      agreed = leaders.size() == 1 && *leaders.begin() != kNoNode;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_TRUE(agreed) << "the servers never named one leader";
+  }  // the servers' threads are joined: their sinks may be read
+  NodeId first_leader = kNoNode;
+  for (NodeId id = 1; id <= 3; ++id) {
+    const std::vector<obs::TraceEvent> events = sinks[static_cast<size_t>(id - 1)].Events();
+    const auto first = std::find_if(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+      return e.kind == obs::EventKind::kBleLeader;
+    });
+    ASSERT_NE(first, events.end()) << "server " << id << " elected nobody";
+    EXPECT_EQ(first->config, 1u) << "server " << id << " elected its first leader in round "
+                                 << first->config;
+    if (first_leader == kNoNode) {
+      first_leader = first->peer;
+    }
+    EXPECT_EQ(first->peer, first_leader) << "server " << id;
+  }
+#endif
+}
+
+// An early round 1 lasts a full election timeout: starting it restarts the
+// election timer. Servers 1 and 2 start, and server 3 starts 150 ms later,
+// 50 ms before their first 200 ms tick. No link to server 3 is up before it
+// starts, so no round 1 can start early before then, and none may end, nor
+// any server know a leader, until one election timeout after it. Had the
+// timer kept its phase, servers 1 and 2 would end a 50 ms round 1 at that
+// tick and elect there. The test thread drives all three servers, so it sees
+// the moment each first knows a leader.
+TEST(TcpRuntime, EarlyRoundOneLastsAFullElectionTimeout) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kTimeout = std::chrono::milliseconds(200);
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    const std::vector<uint16_t> ports = net::FreePorts(3);
+    ASSERT_EQ(ports.size(), 3u);
+    std::map<NodeId, Endpoint> endpoints;
+    for (NodeId id = 1; id <= 3; ++id) {
+      endpoints[id] = Endpoint{"127.0.0.1", ports[static_cast<size_t>(id - 1)]};
+    }
+    std::vector<std::unique_ptr<net::OmniTcpServer>> servers;
+    for (NodeId id = 1; id <= 3; ++id) {
+      net::ServerOptions options;
+      options.id = id;
+      options.listen_port = endpoints[id].port;
+      options.peers = endpoints;
+      options.peers.erase(id);
+      options.election_timeout = Millis(kTimeout.count());
+      servers.push_back(std::make_unique<net::OmniTcpServer>(options));
+    }
+    std::vector<Clock::time_point> knew(3);  // when each first knew a leader
+    // Steps the first `started` servers until `until` or until all know one.
+    const auto drive = [&](size_t started, Clock::time_point until) {
+      while (Clock::now() < until &&
+             std::count(knew.begin(), knew.begin() + started, Clock::time_point{}) > 0) {
+        for (size_t i = 0; i < started; ++i) {
+          servers[i]->StepOnce(1);
+          if (knew[i] == Clock::time_point{} && servers[i]->leader_hint() != kNoNode) {
+            knew[i] = Clock::now();
+          }
+        }
+      }
+    };
+    const Clock::time_point start = Clock::now();  // before any timer exists
+    if (!servers[0]->Start() || !servers[1]->Start()) {
+      continue;  // a port was taken
+    }
+    drive(2, start + std::chrono::milliseconds(150));
+    const Clock::time_point third = Clock::now();
+    if (third - start > std::chrono::milliseconds(180)) {
+      continue;  // descheduled: server 3 would start too close to the first tick
+    }
+    if (!servers[2]->Start()) {
+      continue;
+    }
+    drive(3, third + std::chrono::seconds(5));
+    for (size_t i = 0; i < 3; ++i) {
+      ASSERT_NE(knew[i], Clock::time_point{}) << "server " << i + 1 << " never knew a leader";
+      EXPECT_GE(knew[i] - third, kTimeout)
+          << "server " << i + 1 << " knew a leader "
+          << std::chrono::duration_cast<std::chrono::milliseconds>(knew[i] - third).count()
+          << " ms after server 3 started";
+    }
+    return;
+  }
+  FAIL() << "could not start three servers on free ports in time";
 }
 
 // A WAL-backed server stops, restarts from its journal and catches up with
